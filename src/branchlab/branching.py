@@ -1,11 +1,14 @@
 """Branch trees with squared-amplitude weights.
 
 A measurement turns a game into a tree of decohered branches.  Each leaf
-carries a total weight plus a row of fine-grained cells that stand in for
-sub-branch structure.  Two knobs, small basis rotations and coarse-graining,
-redistribute weight among cells without ever changing any outcome's total
-weight.  They exist to make one point runnable: the number of branches above
-a weight threshold is not a stable quantity, while the weight itself is.
+carries a weight plus a row of fine-grained cells that stand in for
+sub-branch structure, and a multiplicity: a leaf of multiplicity k is a run
+of k identical branches of that weight, so an N-level register split into
+two groups of equal sub-branches is two leaves rather than N.  Two knobs,
+small basis rotations and coarse-graining, redistribute weight among cells
+without ever changing any outcome's total weight.  They exist to make one
+point runnable: the number of branches above a weight threshold is not a
+stable quantity, while the weight itself is.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import random
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Union
+from itertools import groupby
+from typing import Iterator, Union
 
 from .games import (
     AncillaCoupled,
@@ -24,6 +28,7 @@ from .games import (
     QuantumGame,
     born_weights,
     couple_ancilla,
+    validate_game,
 )
 
 Number = Union[int, float, Fraction]
@@ -31,12 +36,21 @@ Number = Union[int, float, Fraction]
 
 @dataclass(frozen=True)
 class BranchLeaf:
+    """A branch, or a run of `multiplicity` identical branches.
+
+    `weight` and `cells` describe one branch of the run; the run as a whole
+    carries weight * multiplicity.
+    """
+
     outcome: float
     history: tuple[float, ...]
     weight: Number
     cells: tuple[Number, ...]
+    multiplicity: int = 1
 
     def __post_init__(self) -> None:
+        if self.multiplicity < 1:
+            raise ValueError(f"multiplicity must be at least 1, got {self.multiplicity!r}")
         if not self.cells:
             raise ValueError("a leaf needs at least one cell")
         drift = abs(float(sum(self.cells)) - float(self.weight))
@@ -55,7 +69,7 @@ class BranchTree:
             raise ValueError("grain threshold must be positive")
         if self.fine_dim < 1:
             raise ValueError("fine_dim must be at least 1")
-        total = float(sum(leaf.weight for leaf in self.leaves))
+        total = float(sum(leaf.weight * leaf.multiplicity for leaf in self.leaves))
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"leaf weights must sum to 1, got {total!r}")
         for leaf in self.leaves:
@@ -86,10 +100,20 @@ class RotationConfig:
             )
 
 
-def _fresh_cells(weight: Number, fine_dim: int) -> tuple[Number, ...]:
+def _fresh_leaf(outcome: float, history: tuple[float, ...], weight: Number, fine_dim: int,
+                multiplicity: int = 1) -> BranchLeaf:
     # All weight sits in cell 0 until a rotation spreads it.
     zero = Fraction(0) if isinstance(weight, Fraction) else 0.0
-    return (weight,) + (zero,) * (fine_dim - 1)
+    cells = (weight,) + (zero,) * (fine_dim - 1)
+    return BranchLeaf(outcome, history, weight, cells, multiplicity)
+
+
+def _expanded(leaves: tuple[BranchLeaf, ...]) -> Iterator[BranchLeaf]:
+    """Each run-length leaf as `multiplicity` separate branches, in order."""
+    for leaf in leaves:
+        single = leaf if leaf.multiplicity == 1 else replace(leaf, multiplicity=1)
+        for _ in range(leaf.multiplicity):
+            yield single
 
 
 def branch(
@@ -101,32 +125,26 @@ def branch(
     """Decohere a game into a branch tree under the given realization.
 
     Direct measurement yields one leaf per eigenvalue at its squared-amplitude
-    weight.  Ancilla coupling yields N leaves of equal per-register weight,
-    grouped back to the original eigenvalues.
+    weight.  Ancilla coupling splits the game over an N-level register; each
+    run of register levels with the same grouped eigenvalue and amplitude
+    becomes one leaf whose multiplicity is the run length, so the usual
+    coupling yields two leaves standing for n and N - n equal sub-branches.
+    The game is validated once either way.
     """
     if fine_dim < 1:
         raise ValueError("fine_dim must be at least 1")
-    from .games import validate_game
-
-    problems = validate_game(game)
-    if problems:
-        raise ValueError("invalid game: " + "; ".join(problems))
     if isinstance(realization, Direct):
         weights = born_weights(game)
-        leaves = tuple(
-            BranchLeaf(outcome=x, history=(), weight=w, cells=_fresh_cells(w, fine_dim))
-            for x, w in sorted(weights.items())
-        )
+        leaves = tuple(_fresh_leaf(x, (), w, fine_dim) for x, w in sorted(weights.items()))
     elif isinstance(realization, AncillaCoupled):
-        joint, register, grouping = couple_ancilla(game, realization.n, realization.N)
+        problems = validate_game(game)
+        if problems:
+            raise ValueError("invalid game: " + "; ".join(problems))
+        joint, _, grouping = couple_ancilla(game, realization.n, realization.N)
+        runs = groupby(zip(map(grouping.__getitem__, joint.basis_labels), joint.amplitudes))
         leaves = tuple(
-            BranchLeaf(
-                outcome=grouping[label],
-                history=(),
-                weight=amp.abs2,
-                cells=_fresh_cells(amp.abs2, fine_dim),
-            )
-            for label, amp in zip(joint.basis_labels, joint.amplitudes)
+            _fresh_leaf(x, (), amp.abs2, fine_dim, multiplicity=len(list(run)))
+            for (x, amp), run in runs
         )
     else:
         raise ValueError(f"unsupported realization {realization!r} for this game shape")
@@ -137,7 +155,7 @@ def outcome_weights(tree: BranchTree) -> dict[float, Number]:
     """Total weight per outcome, summed over leaves."""
     totals: dict[float, Number] = {}
     for leaf in tree.leaves:
-        totals[leaf.outcome] = totals.get(leaf.outcome, Fraction(0)) + leaf.weight
+        totals[leaf.outcome] = totals.get(leaf.outcome, Fraction(0)) + leaf.weight * leaf.multiplicity
     return totals
 
 
@@ -148,7 +166,7 @@ def count_branches(tree: BranchTree, outcome: float) -> int:
         warnings.warn(f"outcome {outcome!r} not present in tree; count is 0", stacklevel=2)
         return 0
     return sum(
-        1
+        leaf.multiplicity
         for leaf in tree.leaves
         if leaf.outcome == outcome
         for c in leaf.cells
@@ -174,7 +192,8 @@ def rotate_basis(tree: BranchTree, config: RotationConfig) -> BranchTree:
 
     The mixing acts on square roots of the cell weights (the nonnegative
     root; relative sign is not tracked), so each leaf's total weight is
-    preserved by construction and cells never mix across outcomes.
+    preserved by construction and cells never mix across outcomes.  Run-length
+    leaves are expanded first: every branch draws its own schedule.
     """
     if config.epsilon == 0:
         return tree
@@ -183,7 +202,7 @@ def rotate_basis(tree: BranchTree, config: RotationConfig) -> BranchTree:
     cos_e, sin_e = math.cos(config.epsilon), math.sin(config.epsilon)
     rng = random.Random(config.seed)
     new_leaves = []
-    for leaf in tree.leaves:
+    for leaf in _expanded(tree.leaves):
         pairs = _leaf_pairs(config, tree.fine_dim, rng)
         cells = [float(c) for c in leaf.cells]
         for i, j in pairs:
@@ -221,21 +240,20 @@ def extend(
     """Measure again on every leaf: weights multiply, histories grow.
 
     Each existing leaf becomes the root of a fresh measurement; its own cell
-    structure collapses into the leaf weight.
+    structure collapses into the leaf weight.  Multiplicities multiply.
     """
     step = branch(game, realization, fine_dim=fine_dim or tree.fine_dim, grain=tree.grain)
-    new_leaves = []
-    for leaf in tree.leaves:
-        for child in step.leaves:
-            w = leaf.weight * child.weight
-            new_leaves.append(
-                BranchLeaf(
-                    outcome=child.outcome,
-                    history=leaf.history + (leaf.outcome,),
-                    weight=w,
-                    cells=_fresh_cells(w, step.fine_dim),
-                )
-            )
+    new_leaves = [
+        _fresh_leaf(
+            child.outcome,
+            leaf.history + (leaf.outcome,),
+            leaf.weight * child.weight,
+            step.fine_dim,
+            multiplicity=leaf.multiplicity * child.multiplicity,
+        )
+        for leaf in tree.leaves
+        for child in step.leaves
+    ]
     return BranchTree(leaves=tuple(new_leaves), grain=tree.grain, fine_dim=step.fine_dim)
 
 
@@ -243,7 +261,7 @@ def tree_to_csv(tree: BranchTree) -> str:
     """One row per (leaf, cell): outcome, history, cell_index, weight.
 
     Rows are ordered by (history, outcome, cell_index) so dumps are
-    deterministic.
+    deterministic.  A run-length leaf prints one block of rows per branch.
     """
     import csv
     import io as _io
@@ -251,7 +269,7 @@ def tree_to_csv(tree: BranchTree) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["outcome", "history", "cell_index", "weight"])
-    ordered = sorted(tree.leaves, key=lambda leaf: (leaf.history, leaf.outcome))
+    ordered = sorted(_expanded(tree.leaves), key=lambda leaf: (leaf.history, leaf.outcome))
     for leaf in ordered:
         history = "|".join(repr(float(h)) for h in leaf.history)
         for idx, cell in enumerate(leaf.cells):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from fractions import Fraction
 
 import click
@@ -66,14 +67,20 @@ def _resolve_out(path: str | None) -> str | None:
     return os.path.join(base, path) if base else path
 
 
+def _echo(message: str, nl: bool = True) -> None:
+    # An explicit file keeps click from caching the current sys.stdout, which
+    # would hold every stream redirected around an in-process main() alive.
+    click.echo(message, nl=nl, file=sys.stdout)
+
+
 def _write(data: bytes, out: str | None) -> None:
     target = _resolve_out(out)
     if target is None:
-        click.echo(data.decode(), nl=False)
+        _echo(data.decode(), nl=False)
     else:
         with open(target, "wb") as fh:
             fh.write(data)
-        click.echo(f"wrote {target}")
+        _echo(f"wrote {target}")
 
 
 def _load_json(path: str):
@@ -160,17 +167,6 @@ def dw() -> None:
     """Staged value-consistency checks."""
 
 
-def _merge_general(reports: list[StageReport]) -> StageReport:
-    return StageReport(
-        stage="S4to6",
-        passed=all(r.passed for r in reports),
-        residual=max(r.residual for r in reports),
-        details=" ; ".join(r.details for r in reports),
-        cases=tuple(case for r in reports for case in r.cases),
-        inconclusive=any(r.inconclusive for r in reports),
-    )
-
-
 @dw.command("verify")
 @click.option("--stage", required=True, type=click.Choice(["1", "2", "3", "general", "egal-demo"]))
 @click.option("--strategy", "strategy_spec", default="born", show_default=True)
@@ -196,36 +192,38 @@ def dw_verify(
 ) -> None:
     """Run one stage (or its full sweep) and report pass/fail."""
     strategy = _strategy(strategy_spec)
+    if stage == "3" and (m_ is None) != (n_ is None):
+        raise click.UsageError("stage 3 takes --m and --n together, or neither for the sweep")
     payoffs = ((Fraction(u1), Fraction(u2)),)
-    if stage == "1":
-        report = verify_stage1(strategy, payoff_count=payoff_count or 100, seed=seed)
-    elif stage == "2":
-        if n_ is not None:
-            report = verify_stage2(strategy, n_, payoff_count=payoff_count or 20, seed=seed)
+    try:
+        if stage == "1":
+            report = verify_stage1(strategy, payoff_count=payoff_count or 100, seed=seed)
+        elif stage == "2":
+            if n_ is not None:
+                report = verify_stage2(strategy, n_, payoff_count=payoff_count or 20, seed=seed)
+            else:
+                report = verify_stage2_sweep(strategy, max_n=max_n or 64, payoff_count=payoff_count or 20, seed=seed)
+        elif stage == "3":
+            if m_ is not None:
+                report = verify_stage3(strategy, m_, n_, payoffs=payoffs)
+            else:
+                report = verify_stage3_sweep(strategy, max_n=max_n or 32, payoffs=payoffs)
+        elif stage == "general":
+            report = StageReport.merge([
+                verify_stage_general(
+                    strategy, t, tolerance, payoff=payoffs[0], max_denominator=max_denominator,
+                )
+                for t in a1sq or GENERAL_TARGETS
+            ])
         else:
-            report = verify_stage2_sweep(strategy, max_n=max_n or 64, payoff_count=payoff_count or 20, seed=seed)
-    elif stage == "3":
-        if m_ is not None and n_ is not None:
-            report = verify_stage3(strategy, m_, n_, payoffs=payoffs)
-        else:
-            report = verify_stage3_sweep(strategy, max_n=max_n or 32, payoffs=payoffs)
-    elif stage == "general":
-        targets = a1sq or GENERAL_TARGETS
-        reports = [
-            verify_stage_general(
-                strategy, t, tolerance, payoff=(Fraction(u1), Fraction(u2)),
-                max_denominator=max_denominator,
+            config = RotationConfig(epsilon=epsilon, pair_schedule=None, seed=demo_seed)
+            report = egalitarian_incoherence_demo(
+                default_demo_game(), schedule=(config,), fine_dim=fine_dim, grain=tau
             )
-            for t in targets
-        ]
-        report = _merge_general(reports)
-    else:
-        config = RotationConfig(epsilon=epsilon, pair_schedule=None, seed=demo_seed)
-        report = egalitarian_incoherence_demo(
-            default_demo_game(), schedule=(config,), fine_dim=fine_dim, grain=tau
-        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     _write(emit(report, fmt), out)
-    click.echo(f"stage {report.stage}: {report.verdict} (residual {fmt_float(report.residual)})")
+    _echo(f"stage {report.stage}: {report.verdict} (residual {fmt_float(report.residual)})")
     raise SystemExit(0 if report.passed else 1)
 
 
@@ -254,7 +252,7 @@ def egal_demo(fine_dim, epsilon, tau, seed, coarse_factor, fmt, out) -> None:
         default_demo_game(), schedule=tuple(schedule), fine_dim=fine_dim, grain=tau
     )
     _write(emit(report, fmt), out)
-    click.echo(f"egalitarian demo: {report.verdict}")
+    _echo(f"egalitarian demo: {report.verdict}")
     raise SystemExit(0 if report.passed else 1)
 
 
@@ -386,7 +384,7 @@ def confirm_run(
     _write(emit(report, fmt), out)
     target = true_theory or report.theories[0]
     mass = float(report.final_mass_above(target, threshold))
-    click.echo(f"final caring mass with credence({target}) > {fmt_float(threshold)}: {fmt_float(mass)}")
+    _echo(f"final caring mass with credence({target}) > {fmt_float(threshold)}: {fmt_float(mass)}")
     if require_mass is not None and mass <= require_mass:
         raise SystemExit(1)
     raise SystemExit(0)
@@ -411,7 +409,7 @@ def extract(prefs_path, roundtrip_sweep, seed, max_states, max_consequences, fmt
         )
         ok = all(r["ok"] for r in results)
         _write(emit(results, fmt if fmt != "json" else "csv"), out)
-        click.echo(f"round trips: {sum(r['ok'] for r in results)}/{len(results)} reproduced")
+        _echo(f"round trips: {sum(r['ok'] for r in results)}/{len(results)} reproduced")
         raise SystemExit(0 if ok else 1)
     if prefs_path is None:
         raise click.UsageError("provide --prefs or --roundtrip-sweep")

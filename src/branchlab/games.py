@@ -128,9 +128,6 @@ class PureState:
     def is_normalized(self, tol: float = 1e-12) -> bool:
         return abs(float(self.norm_squared) - 1.0) <= tol
 
-    def weight_of(self, label: str) -> Union[Fraction, float]:
-        return self.amplitudes[self.basis_labels.index(label)].abs2
-
 
 @dataclass(frozen=True)
 class Observable:
@@ -210,16 +207,14 @@ def validate_game(game: QuantumGame) -> list[str]:
     norm = float(game.state.norm_squared)
     if abs(norm - 1.0) > 1e-12:
         report.append(f"state not normalized: sum of squared amplitudes is {norm!r}")
-    missing_eigen = [
-        label for label in game.state.basis_labels
-        if label not in game.observable.eigenvalues
-    ]
+    eigenvalues = game.observable.eigenvalues
+    missing_eigen = [label for label in game.state.basis_labels if label not in eigenvalues]
     if missing_eigen:
         report.append(f"observable lacks eigenvalues for labels {missing_eigen}")
-    for label in game.state.basis_labels:
-        if label in (game.observable.eigenvalues or {}):
-            x = game.observable.eigenvalues[label]
-            if float(game.state.weight_of(label)) > 0.0 and x not in game.payoff.consequences:
+    for label, amp in zip(game.state.basis_labels, game.state.amplitudes):
+        if label in eigenvalues:
+            x = eigenvalues[label]
+            if float(amp.abs2) > 0.0 and x not in game.payoff.consequences:
                 report.append(f"payoff missing eigenvalue {x!r} present in state support")
     return report
 
@@ -245,7 +240,8 @@ def couple_ancilla(
     Returns the joint state over labels y1..yN with amplitude a1/sqrt(n) on
     the first n labels and a2/sqrt(N-n) on the rest, the register observable
     (eigenvalue i on yi), and the grouping that maps each y label back to the
-    eigenvalue of the original observable it realizes.
+    eigenvalue of the original observable it realizes.  Each group shares one
+    amplitude object, so a run of equal sub-branches is one object repeated.
     """
     if len(game.state.basis_labels) != 2:
         raise ValueError(
@@ -258,7 +254,7 @@ def couple_ancilla(
     x2 = game.observable.eigenvalue(game.state.basis_labels[1])
 
     labels = tuple(f"y{i}" for i in range(1, N + 1))
-    amps = tuple(a1.div_sqrt(n) for _ in range(n)) + tuple(a2.div_sqrt(N - n) for _ in range(N - n))
+    amps = (a1.div_sqrt(n),) * n + (a2.div_sqrt(N - n),) * (N - n)
     joint = PureState(labels, amps)
     register = Observable(
         name=f"{game.observable.name}_via_{N}_level_register",

@@ -93,7 +93,8 @@ class CaringMeasure:
 
     Identifiers are leaf indices for weight-based strategies, (leaf, cell)
     pairs for the count-based one, and outcomes for the eigenvalue-based one.
-    by_outcome() is the common view used for valuation.
+    The mass of a run-length leaf (or of its cell) covers every branch in the
+    run.  by_outcome() is the common view used for valuation.
     """
 
     masses: Mapping[Hashable, Number]
@@ -113,26 +114,28 @@ class CaringMeasure:
 def caring_measure(strategy: Strategy, tree: BranchTree) -> CaringMeasure:
     """The strategy's normalized care over the given tree."""
     if isinstance(strategy, Born):
-        masses = {i: leaf.weight for i, leaf in enumerate(tree.leaves)}
+        masses = {i: leaf.weight * leaf.multiplicity for i, leaf in enumerate(tree.leaves)}
         outcomes = {i: leaf.outcome for i, leaf in enumerate(tree.leaves)}
         return CaringMeasure(masses, outcomes)
 
     if isinstance(strategy, Egalitarian):
-        occupied = [
-            (i, j)
+        occupied = {
+            (i, j): leaf.multiplicity
             for i, leaf in enumerate(tree.leaves)
             for j, cell in enumerate(leaf.cells)
             if float(cell) > strategy.tau
-        ]
+        }
         if not occupied:
             raise ValueError("no cells above tau; egalitarian care undefined")
-        share = Fraction(1, len(occupied))
-        masses = {key: share for key in occupied}
+        share = Fraction(1, sum(occupied.values()))
+        masses = {key: count * share for key, count in occupied.items()}
         outcomes = {key: tree.leaves[key[0]].outcome for key in occupied}
         return CaringMeasure(masses, outcomes)
 
     if isinstance(strategy, SquaredWeightRenormalized):
-        squares = {i: leaf.weight * leaf.weight for i, leaf in enumerate(tree.leaves)}
+        squares = {
+            i: leaf.weight * leaf.weight * leaf.multiplicity for i, leaf in enumerate(tree.leaves)
+        }
         total = sum(squares.values(), Fraction(0))
         masses = {i: sq / total for i, sq in squares.items()}
         outcomes = {i: leaf.outcome for i, leaf in enumerate(tree.leaves)}

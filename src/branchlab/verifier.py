@@ -60,6 +60,23 @@ class StageReport:
     cases: tuple[dict, ...] = ()
     inconclusive: bool = False
 
+    @classmethod
+    def merge(cls, reports: Sequence["StageReport"], details: str | None = None) -> "StageReport":
+        """One report over several runs of the same stage.
+
+        It passes only if every run passes, is inconclusive if any run is,
+        keeps the worst residual and every case in order, and joins the runs'
+        details with " ; " unless details are given.
+        """
+        return cls(
+            stage=reports[0].stage,
+            passed=all(r.passed for r in reports),
+            residual=max(r.residual for r in reports),
+            details=" ; ".join(r.details for r in reports) if details is None else details,
+            cases=tuple(case for r in reports for case in r.cases),
+            inconclusive=any(r.inconclusive for r in reports),
+        )
+
     @property
     def verdict(self) -> str:
         if self.inconclusive:
@@ -171,7 +188,8 @@ def verify_stage3(
 ) -> StageReport:
     """Rational-weight game sqrt(m/n), sqrt((n-m)/n) through the equalizing coupling.
 
-    The ancilla tree is checked to be an equal n-branch split, valued through
+    The ancilla tree (two run-length leaves standing for m and n - m
+    sub-branches) is checked to be an equal n-branch split, valued through
     the grouping, and compared against the weighted average
     (m*u1 + (n-m)*u2)/n.  The report's residual also folds in the gap between
     the ancilla-realized and direct values, so a realization-sensitive
@@ -234,6 +252,8 @@ def verify_stage_general(
     """
     if not (0.0 < a1_squared < 1.0):
         raise ValueError("a1_squared must lie strictly between 0 and 1")
+    if max_denominator < 2:
+        raise ValueError(f"max_denominator must be at least 2, got {max_denominator}")
     u1, u2 = payoff
     target = a1_squared * float(u1) + (1.0 - a1_squared) * float(u2)
     caps = []
@@ -415,15 +435,10 @@ def verify_stage2_sweep(
     strategy: Strategy, max_n: int = 64, payoff_count: int = 20, seed: int = 11
 ) -> StageReport:
     """Stage 2 across every branch count up to max_n, merged into one report."""
+    if max_n < 2:
+        raise ValueError(f"stage 2 sweep needs max_n >= 2, got {max_n}")
     reports = [verify_stage2(strategy, n, payoff_count=payoff_count, seed=seed) for n in range(2, max_n + 1)]
-    worst = max(r.residual for r in reports)
-    return StageReport(
-        stage="S2",
-        passed=all(r.passed for r in reports),
-        residual=worst,
-        details=f"n swept from 2 to {max_n}, {payoff_count} payoffs each",
-        cases=tuple(case for r in reports for case in r.cases),
-    )
+    return StageReport.merge(reports, details=f"n swept from 2 to {max_n}, {payoff_count} payoffs each")
 
 
 def verify_stage3_sweep(
@@ -432,16 +447,11 @@ def verify_stage3_sweep(
     payoffs: Sequence[Sequence[Number]] = ((10, 0),),
 ) -> StageReport:
     """Stage 3 across all weight ratios m/n with n up to max_n."""
+    if max_n < 2:
+        raise ValueError(f"stage 3 sweep needs max_n >= 2, got {max_n}")
     reports = [
         verify_stage3(strategy, m, n, payoffs=payoffs)
         for n in range(2, max_n + 1)
         for m in range(1, n)
     ]
-    worst = max(r.residual for r in reports)
-    return StageReport(
-        stage="S3",
-        passed=all(r.passed for r in reports),
-        residual=worst,
-        details=f"all 1 <= m < n <= {max_n}",
-        cases=tuple(case for r in reports for case in r.cases),
-    )
+    return StageReport.merge(reports, details=f"all 1 <= m < n <= {max_n}")

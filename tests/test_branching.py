@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,11 @@ from branchlab import (
     branch,
     coarse_grain,
     count_branches,
+    couple_ancilla,
     equal_game,
     extend,
+    game_from_json,
+    game_to_json,
     outcome_weights,
     rotate_basis,
     tree_to_csv,
@@ -23,6 +27,27 @@ from branchlab import (
 )
 
 THIRD_GAME = weighted_game((Fraction(1, 3), Fraction(2, 3)), (10, 0))
+
+
+def expand(tree):
+    """The same tree with every run-length leaf written out as separate branches."""
+    leaves = tuple(
+        dataclasses.replace(leaf, multiplicity=1)
+        for leaf in tree.leaves
+        for _ in range(leaf.multiplicity)
+    )
+    return dataclasses.replace(tree, leaves=leaves)
+
+
+two_outcome_weights = st.tuples(st.integers(1, 20), st.integers(1, 20)).map(
+    lambda t: (Fraction(t[0], t[0] + t[1]), Fraction(t[1], t[0] + t[1]))
+)
+
+
+@st.composite
+def ancilla_splits(draw):
+    N = draw(st.integers(2, 64))
+    return AncillaCoupled(draw(st.integers(1, N - 1)), N)
 
 
 class TestBranch:
@@ -36,8 +61,18 @@ class TestBranch:
 
     def test_ancilla_three_equal_leaves(self):
         tree = branch(THIRD_GAME, AncillaCoupled(1, 3))
-        assert [leaf.weight for leaf in tree.leaves] == [Fraction(1, 3)] * 3
-        assert [leaf.outcome for leaf in tree.leaves] == [1.0, 2.0, 2.0]
+        assert [(leaf.outcome, leaf.weight, leaf.multiplicity) for leaf in tree.leaves] == [
+            (1.0, Fraction(1, 3), 1),
+            (2.0, Fraction(1, 3), 2),
+        ]
+
+    def test_ancilla_leaf_count_independent_of_register_size(self):
+        assert len(branch(THIRD_GAME, AncillaCoupled(1, 2**16)).leaves) == 2
+
+    def test_multiplicity_must_be_positive(self):
+        leaf = branch(THIRD_GAME, Direct()).leaves[0]
+        with pytest.raises(ValueError, match="multiplicity"):
+            dataclasses.replace(leaf, multiplicity=0)
 
     def test_fresh_cells_hold_full_weight(self):
         tree = branch(THIRD_GAME, Direct(), fine_dim=4)
@@ -178,3 +213,44 @@ class TestCsvDump:
         tree = branch(THIRD_GAME, Direct(), fine_dim=4)
         tree = rotate_basis(tree, RotationConfig(epsilon=1e-3, pair_schedule=None, seed=2))
         assert tree_to_csv(tree) == tree_to_csv(tree)
+
+
+class TestRunLength:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=two_outcome_weights,
+        realization=ancilla_splits(),
+        fine_dim=st.sampled_from([1, 2, 4]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_expansion(self, weights, realization, fine_dim, seed):
+        game = weighted_game(weights, (1, 0))
+        tree = branch(game, realization, fine_dim=fine_dim)
+        flat = expand(tree)
+        joint, _, grouping = couple_ancilla(game, realization.n, realization.N)
+        assert len(tree.leaves) == 2
+        assert [(leaf.outcome, leaf.weight) for leaf in flat.leaves] == [
+            (grouping[label], amp.abs2) for label, amp in zip(joint.basis_labels, joint.amplitudes)
+        ]
+        assert outcome_weights(tree) == outcome_weights(flat)
+        for outcome in (1.0, 2.0):
+            assert count_branches(tree, outcome) == count_branches(flat, outcome)
+        assert tree_to_csv(tree) == tree_to_csv(flat)
+        deeper, flat_deeper = extend(tree, game, realization), extend(flat, game, realization)
+        assert Counter(expand(deeper).leaves) == Counter(expand(flat_deeper).leaves)
+        if fine_dim >= 2:
+            config = RotationConfig(epsilon=1e-3, pair_schedule=None, seed=seed)
+            assert rotate_basis(tree, config) == rotate_basis(flat, config)
+            assert expand(coarse_grain(tree, 2)) == coarse_grain(flat, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(weights=two_outcome_weights, realization=ancilla_splits())
+    def test_float_backed_matches_expansion(self, weights, realization):
+        game = game_from_json(game_to_json(weighted_game(weights, (1, 0))))
+        tree = branch(game, realization, fine_dim=2)
+        flat = expand(tree)
+        expected = outcome_weights(flat)
+        assert outcome_weights(tree) == {x: pytest.approx(w, abs=1e-12) for x, w in expected.items()}
+        for outcome in (1.0, 2.0):
+            assert count_branches(tree, outcome) == count_branches(flat, outcome)
+        assert tree_to_csv(tree) == tree_to_csv(flat)

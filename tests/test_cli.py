@@ -1,7 +1,11 @@
 """Command-line tests: exit codes, determinism, formats, file handling."""
 
+import contextlib
+import gc
+import io
 import json
 import os
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -48,6 +52,42 @@ class TestExitCodes:
                 fh.write("{not json")
             result = runner.invoke(main, ["game", "eval", "--game", "broken.json"])
             assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--stage", "3", "--m", "3", "--n", "2"],
+            ["--stage", "3", "--m", "0", "--n", "5"],
+            ["--stage", "2", "--n", "1"],
+            ["--stage", "general", "--a1sq", "1.5"],
+            ["--stage", "3", "--m", "2"],
+            ["--stage", "3", "--n", "5"],
+            ["--stage", "3", "--max-n", "1"],
+            ["--stage", "general", "--max-denominator", "1"],
+        ],
+    )
+    def test_bad_verify_input_is_usage_error(self, runner, argv):
+        result = runner.invoke(main, ["dw", "verify", *argv])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines()[-1].startswith("Error: ")
+        assert "Traceback" not in result.output
+
+
+class TestInProcess:
+    def test_redirected_stdout_is_released(self):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            try:
+                main(["dw", "verify", "--stage", "3", "--m", "1", "--n", "3"], prog_name="branchlab")
+            except SystemExit as exc:
+                code = exc.code
+        assert code == 0
+        assert buf.getvalue().endswith("stage S3: pass (residual 0)\n")
+        ref = weakref.ref(buf)
+        del buf
+        gc.collect()
+        assert ref() is None
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Strategy tests: caring measures, game values, realization sensitivity."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from branchlab import (
     branch,
     caring_measure,
     coarse_grain,
+    game_from_json,
+    game_to_json,
     mn_violation,
     parse_strategy,
     relabel_game,
@@ -38,6 +41,27 @@ def rational_two_outcome_games():
             (t[2], t[3]),
         )
     )
+
+
+def expand(tree):
+    """The same tree with every run-length leaf written out as separate branches."""
+    leaves = tuple(
+        dataclasses.replace(leaf, multiplicity=1)
+        for leaf in tree.leaves
+        for _ in range(leaf.multiplicity)
+    )
+    return dataclasses.replace(tree, leaves=leaves)
+
+
+@st.composite
+def ancilla_splits(draw):
+    N = draw(st.integers(2, 64))
+    return AncillaCoupled(draw(st.integers(1, N - 1)), N)
+
+
+CARING_STRATEGIES = st.sampled_from(
+    [Born(), Egalitarian(1e-6), SquaredWeightRenormalized(), EigenvalueWeighted()]
+)
 
 
 class TestCaringMeasure:
@@ -84,6 +108,21 @@ class TestCaringMeasure:
     def test_normalization(self, game, strategy):
         tree = branch(game, Direct(), fine_dim=4)
         assert float(caring_measure(strategy, tree).total()) == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_two_outcome_games(), ancilla_splits(), CARING_STRATEGIES, st.sampled_from([1, 4]))
+    def test_run_length_tree_matches_expansion(self, game, realization, strategy, fine_dim):
+        tree = branch(game, realization, fine_dim=fine_dim)
+        expected = caring_measure(strategy, expand(tree)).by_outcome()
+        assert caring_measure(strategy, tree).by_outcome() == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(rational_two_outcome_games(), ancilla_splits(), CARING_STRATEGIES)
+    def test_float_backed_run_length_tree_matches_expansion(self, game, realization, strategy):
+        tree = branch(game_from_json(game_to_json(game)), realization)
+        expected = caring_measure(strategy, expand(tree)).by_outcome()
+        care = caring_measure(strategy, tree).by_outcome()
+        assert care == {x: pytest.approx(float(m), abs=1e-12) for x, m in expected.items()}
 
 
 class TestValueGame:

@@ -22,7 +22,7 @@ from branchlab import (
     verify_stage_general,
     weighted_game,
 )
-from branchlab.verifier import DEMO_SEED, default_demo_game
+from branchlab.verifier import DEMO_SEED, StageReport, default_demo_game
 
 
 class TestStage1:
@@ -197,3 +197,16 @@ class TestIncoherenceDemo:
         doc = report.to_json_dict()
         assert set(doc) >= {"stage", "pass", "residual", "cases"}
         assert doc["stage"] == "EgalitarianDemo"
+
+
+class TestMerge:
+    def test_merge_combines_verdicts(self):
+        parts = [
+            StageReport("S4to6", True, 0.5, "a", ({"k": 1},)),
+            StageReport("S4to6", False, 0.25, "b", ({"k": 2},), inconclusive=True),
+        ]
+        merged = StageReport.merge(parts)
+        assert merged == StageReport(
+            "S4to6", False, 0.5, "a ; b", ({"k": 1}, {"k": 2}), inconclusive=True
+        )
+        assert StageReport.merge(parts[:1], details="one").details == "one"
