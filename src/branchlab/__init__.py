@@ -42,7 +42,6 @@ from .strategies import (
     caring_measure,
     mn_violation,
     parse_strategy,
-    tree_value,
     value_game,
 )
 from .decision import (

@@ -19,8 +19,9 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterator, Union
+from typing import Iterator
 
+from .exact import Number
 from .games import (
     AncillaCoupled,
     Direct,
@@ -30,8 +31,6 @@ from .games import (
     couple_ancilla,
     validate_game,
 )
-
-Number = Union[int, float, Fraction]
 
 
 @dataclass(frozen=True)

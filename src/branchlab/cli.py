@@ -245,12 +245,15 @@ def egal() -> None:
 @click.option("--out", default=None)
 def egal_demo(fine_dim, epsilon, tau, seed, coarse_factor, fmt, out) -> None:
     """Rotate the fine-grained basis and watch count-based value drift."""
-    schedule: list = [RotationConfig(epsilon=epsilon, pair_schedule=None, seed=seed)]
-    if coarse_factor is not None:
-        schedule.append(coarse_factor)
-    report = egalitarian_incoherence_demo(
-        default_demo_game(), schedule=tuple(schedule), fine_dim=fine_dim, grain=tau
-    )
+    try:
+        schedule: list = [RotationConfig(epsilon=epsilon, pair_schedule=None, seed=seed)]
+        if coarse_factor is not None:
+            schedule.append(coarse_factor)
+        report = egalitarian_incoherence_demo(
+            default_demo_game(), schedule=tuple(schedule), fine_dim=fine_dim, grain=tau
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     _write(emit(report, fmt), out)
     _echo(f"egalitarian demo: {report.verdict}")
     raise SystemExit(0 if report.passed else 1)
@@ -352,12 +355,11 @@ def confirm() -> None:
 @click.option("--threshold", type=float, default=0.95, show_default=True)
 @click.option("--true-theory", default=None, help="Theory whose credence mass is summarized.")
 @click.option("--require-mass", type=float, default=None, help="Fail unless the final mass exceeds this.")
-@click.option("--method", type=click.Choice(["auto", "classes", "full"]), default="auto")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "table"]), default="csv")
 @click.option("--out", default=None)
 def confirm_run(
     theories_path, games_path, strategy_spec, depth, threshold,
-    true_theory, require_mass, method, fmt, out,
+    true_theory, require_mass, fmt, out,
 ) -> None:
     """Iterate games, conditionalize on every branch, report caring-weighted credences."""
     theories_doc = _load_json(theories_path)
@@ -380,7 +382,10 @@ def confirm_run(
     except (KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad theories/games file: {exc}")
     strategy = _strategy(strategy_spec)
-    report = confirmation_experiment(cred, games, strategy, trials=depth, method=method)
+    try:
+        report = confirmation_experiment(cred, games, strategy, trials=depth)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     _write(emit(report, fmt), out)
     target = true_theory or report.theories[0]
     mass = float(report.final_mass_above(target, threshold))

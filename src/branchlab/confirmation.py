@@ -10,16 +10,15 @@ ends up investing in branches where the true theory is highly credible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence, Union
 
 from .branching import BranchLeaf, BranchTree, branch
+from .exact import Number
 from .games import Direct, MeasurementRealization, QuantumGame
 from .strategies import Strategy, TablePreference, caring_measure
 
-Number = Union[int, float, Fraction]
 Evidence = Hashable
 
 
@@ -310,131 +309,50 @@ class TrajectoryReport:
         return total
 
 
-def _step_caring(strategy: Strategy, game: QuantumGame, realization: MeasurementRealization) -> dict[float, Number]:
-    tree = branch(game, realization)
-    return caring_measure(strategy, tree).by_outcome()
+def _grow(classes: dict, step: Sequence[tuple[int, Number, tuple | None]]) -> dict:
+    """One more measurement on every class: (counts, frozen-at) -> [mass, weights].
 
-
-def _class_rows(
-    cred: CredenceState,
-    outcomes: Sequence[float],
-    step_mass: Mapping[float, Number],
-    trials: int,
-) -> list[TrajectoryRow]:
-    """Exact enumeration collapsed to outcome-count classes.
-
-    Valid because repeated identical measurements make both the caring mass
-    and the updated credence depend on the path only through its outcome
-    counts.  Cross-checked against full path enumeration in the tests.
+    An unfrozen class's weights are prior x likelihood products fixed by its
+    counts, so classes that reach the same counts merge.  A class freezes on
+    an outcome that some theory gives no likelihood (likelihoods None) or
+    whose probability is zero, and keeps the weights it froze with.
     """
-    rows = [
-        TrajectoryRow(
-            iteration=0,
-            outcome_class=(),
-            caring_mass=Fraction(1),
-            credences=dict(cred.priors),
-        )
-    ]
-    k = len(outcomes)
-    for it in range(1, trials + 1):
-        for counts in _compositions(it, k):
-            coeff = _multinomial(counts)
-            mass: Number = Fraction(coeff)
-            for outcome, c in zip(outcomes, counts):
-                mass = mass * (step_mass[outcome] ** c)
-            post: dict[str, Number] = {}
-            norm: Number = Fraction(0)
-            for theory, prior in cred.priors.items():
-                w: Number = prior
-                for outcome, c in zip(outcomes, counts):
-                    w = w * (cred.likelihoods[theory][outcome] ** c)
-                post[theory] = w
-                norm = norm + w
-            credences = {t: w / norm for t, w in post.items()}
-            rows.append(
-                TrajectoryRow(
-                    iteration=it,
-                    outcome_class=tuple(zip(outcomes, counts)),
-                    caring_mass=mass,
-                    credences=credences,
-                )
-            )
-    return rows
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def _multinomial(counts: Sequence[int]) -> int:
-    out = 1
-    seen = 0
-    for c in counts:
-        seen += c
-        out *= math.comb(seen, c)
-    return out
-
-
-def _full_rows(
-    cred: CredenceState,
-    games: Sequence[tuple[QuantumGame, MeasurementRealization]],
-    strategy: Strategy,
-    trials: int,
-) -> list[TrajectoryRow]:
-    """Full path enumeration; paths with identical outcome counts stay separate
-    until they are merged into class rows at the end of each iteration."""
-    paths: list[tuple[tuple[float, ...], Number, CredenceState, bool]] = [
-        ((), Fraction(1), cred, False)
-    ]
-    rows = [
-        TrajectoryRow(
-            iteration=0,
-            outcome_class=(),
-            caring_mass=Fraction(1),
-            credences=dict(cred.priors),
-        )
-    ]
-    all_outcomes = sorted(
-        {x for game, realization in games for x in _step_caring(strategy, game, realization)}
-    )
-    for it in range(1, trials + 1):
-        game, realization = games[(it - 1) % len(games)]
-        step_mass = _step_caring(strategy, game, realization)
-        new_paths = []
-        for history, mass, state, frozen in paths:
-            for outcome, m in sorted(step_mass.items()):
-                if frozen:
-                    new_state, now_frozen = state, True
-                else:
-                    try:
-                        new_state = conditionalize(state, outcome)
-                        now_frozen = False
-                    except (ValueError, KeyError):
-                        new_state, now_frozen = state, True
-                new_paths.append((history + (outcome,), mass * m, new_state, now_frozen))
-        paths = new_paths
-        merged: dict[tuple, TrajectoryRow] = {}
-        for history, mass, state, frozen in paths:
-            counts = tuple((x, history.count(x)) for x in all_outcomes)
-            key = (counts, tuple(sorted((t, float(v)) for t, v in state.priors.items())), frozen)
-            if key in merged:
-                prior_row = merged[key]
-                merged[key] = replace(prior_row, caring_mass=prior_row.caring_mass + mass)
+    grown: dict = {}
+    for (counts, frozen_at), (mass, weights) in classes.items():
+        for i, m, likelihoods in step:
+            moved = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
+            key, new = (moved, frozen_at), weights
+            # If an unfrozen class already reached these counts, no branch
+            # reaching them freezes: both freeze conditions hold or fail
+            # alike for every branch with the same counts.
+            if frozen_at is None and key not in grown:
+                if likelihoods is not None:
+                    new = tuple(w * l for w, l in zip(weights, likelihoods))
+                if likelihoods is None or sum(new) == 0:
+                    key, new = (moved, counts), weights
+            if key in grown:
+                grown[key][0] += mass * m
             else:
-                merged[key] = TrajectoryRow(
-                    iteration=it,
-                    outcome_class=counts,
-                    caring_mass=mass,
-                    credences=dict(state.priors),
-                    frozen=frozen,
-                )
-        rows.extend(merged[k] for k in sorted(merged, key=lambda k: (k[0], k[1], k[2])))
-    return rows
+                grown[key] = [mass * m, new]
+    return grown
+
+
+def _rows(
+    iteration: int, classes: dict, outcomes: Sequence[float], theories: Sequence[str]
+) -> list[TrajectoryRow]:
+    """Rows merged by (outcome class, credences, frozen) and sorted by that key."""
+    merged: dict[tuple, TrajectoryRow] = {}
+    for (counts, frozen_at), (mass, weights) in classes.items():
+        total = sum(weights, Fraction(0))
+        credences = {t: w / total for t, w in zip(theories, weights)}
+        outcome_class = tuple(zip(outcomes, counts))
+        frozen = frozen_at is not None
+        key = (outcome_class, tuple(sorted((t, float(v)) for t, v in credences.items())), frozen)
+        if key in merged:
+            merged[key] = replace(merged[key], caring_mass=merged[key].caring_mass + mass)
+        else:
+            merged[key] = TrajectoryRow(iteration, outcome_class, mass, credences, frozen)
+    return [merged[key] for key in sorted(merged)]
 
 
 def confirmation_experiment(
@@ -442,17 +360,19 @@ def confirmation_experiment(
     games: Sequence[tuple[QuantumGame, MeasurementRealization]] | QuantumGame,
     strategy: Strategy,
     trials: int,
-    method: str = "auto",
 ) -> TrajectoryReport:
     """Iterate measurements, conditionalize on every branch, weigh by caring.
 
     games is a single game (measured directly) or a sequence of (game,
-    realization) pairs cycled for the given number of trials.  The "classes"
-    method collapses paths to outcome-count classes and applies only to a
-    single repeated game with strictly positive likelihoods; "full"
-    enumerates paths and is capped at small depth; "auto" picks classes when
-    valid.  Branches where the observed outcome has zero prior probability
-    are flagged frozen and their credences stop moving.
+    realization) pairs cycled for the given number of trials.  Every outcome
+    sequence is a branch, and each iteration reports one row per class of
+    branches with the same outcome counts, credences and frozen flag, sorted
+    by that key, with the caring mass of the class.  A branch freezes when it
+    observes an outcome that some theory gives no likelihood or whose prior
+    probability is zero: its credences stop moving.  A branch's credences
+    depend on it only through its outcome counts and the counts at which it
+    froze, so the enumeration carries one class per such pair and its cost
+    grows polynomially with the number of trials.
     """
     if isinstance(strategy, TablePreference):
         raise ValueError("a table preference has no caring measure to weigh branches with")
@@ -464,26 +384,23 @@ def confirmation_experiment(
     if trials < 0:
         raise ValueError("trials must be nonnegative")
 
-    single = len(games) == 1
-    outcomes_ok = True
-    if single:
-        step_mass = _step_caring(strategy, games[0][0], games[0][1])
-        outcomes = sorted(step_mass)
-        for theory in cred.theories():
-            for x in outcomes:
-                table = cred.likelihoods[theory]
-                if x not in table or float(table[x]) <= 0.0:
-                    outcomes_ok = False
-    use_classes = method == "classes" or (method == "auto" and single and outcomes_ok)
-    if method == "classes" and not (single and outcomes_ok):
-        raise ValueError(
-            "class enumeration needs a single repeated game and strictly positive likelihoods"
-        )
-    if use_classes:
-        rows = _class_rows(cred, outcomes, step_mass, trials)
-    else:
-        per_step = max(len(_step_caring(strategy, g, r)) for g, r in games)
-        if per_step ** trials > 200_000:
-            raise ValueError("full enumeration too deep; use a single repeated game instead")
-        rows = _full_rows(cred, games, strategy, trials)
-    return TrajectoryReport(rows=tuple(rows), theories=cred.theories(), trials=trials)
+    theories = cred.theories()
+    step_masses = [
+        caring_measure(strategy, branch(game, realization)).by_outcome() for game, realization in games
+    ]
+    outcomes = sorted({x for masses in step_masses for x in masses})
+    axis = {x: i for i, x in enumerate(outcomes)}
+    tables = [cred.likelihoods[t] for t in theories]
+
+    def likelihoods(x: float) -> tuple | None:
+        return tuple(table[x] for table in tables) if all(x in table for table in tables) else None
+
+    steps = [
+        [(axis[x], m, likelihoods(x)) for x, m in sorted(masses.items())] for masses in step_masses
+    ]
+    classes = {((0,) * len(outcomes), None): [Fraction(1), tuple(cred.priors[t] for t in theories)]}
+    rows = [TrajectoryRow(0, (), Fraction(1), dict(cred.priors))]
+    for it in range(1, trials + 1):
+        classes = _grow(classes, steps[(it - 1) % len(steps)])
+        rows.extend(_rows(it, classes, outcomes, theories))
+    return TrajectoryReport(rows=tuple(rows), theories=theories, trials=trials)

@@ -17,12 +17,13 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
-Number = Union[int, float, Fraction]
+from .exact import Number
+
 
 TIE_TOL = 1e-9
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Union
 
 Radicand = Union[int, Fraction]
+Number = Union[int, float, Fraction]
 
 
 def _sign(q: Fraction) -> int:

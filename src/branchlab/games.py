@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .exact import SqrtRational
+from .exact import Number, SqrtRational
 
 Real = Union[SqrtRational, float]
-Number = Union[int, float, Fraction]
 
 
 def _square(x: Real) -> Union[Fraction, float]:

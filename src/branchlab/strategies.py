@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Hashable, Mapping, Sequence, Union
 
 from .branching import BranchTree, branch
+from .exact import Number
 from .games import (
     MeasurementRealization,
     PayoffFunction,
@@ -22,8 +23,6 @@ from .games import (
     game_to_json_dict,
     realization_label,
 )
-
-Number = Union[int, float, Fraction]
 
 
 @dataclass(frozen=True)
@@ -158,11 +157,6 @@ def caring_measure(strategy: Strategy, tree: BranchTree) -> CaringMeasure:
 
 def _exact_utility(u: Number) -> Number:
     return u if isinstance(u, (int, Fraction)) else Fraction(u)
-
-
-def tree_value(strategy: Strategy, tree: BranchTree, payoff: PayoffFunction) -> float:
-    """Caring-weighted utility of a tree under a payoff assignment."""
-    return float(_tree_value_exact(strategy, tree, payoff))
 
 
 def _tree_value_exact(strategy: Strategy, tree: BranchTree, payoff: PayoffFunction) -> Number:

@@ -26,6 +26,7 @@ from .branching import (
     outcome_weights,
     rotate_basis,
 )
+from .exact import Number
 from .games import (
     AncillaCoupled,
     Direct,
@@ -42,7 +43,6 @@ from .strategies import (
     _value_game_exact,
 )
 
-Number = Union[int, float, Fraction]
 
 STAGE_TOL = 1e-12
 

@@ -34,6 +34,7 @@ from branchlab import (
 from branchlab.confirmation import Book
 from branchlab.decision import representation_roundtrip_sweep
 from branchlab.verifier import default_demo_game, verify_stage2_sweep, verify_stage3_sweep
+from confirmation_reference import reference_experiment
 
 
 def _criterion(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -204,10 +205,10 @@ def test_criterion_09_confirmation_mass():
             "skew": {1.0: Fraction(9, 10), 2.0: Fraction(1, 10)},
         },
     )
-    deep = confirmation_experiment(cred, game, Born(), trials=20, method="classes")
+    deep = confirmation_experiment(cred, game, Born(), trials=20)
     mass = deep.final_mass_above("born", 0.95)
-    fast = confirmation_experiment(cred, game, Born(), trials=8, method="classes")
-    slow = confirmation_experiment(cred, [(game, Direct())], Born(), trials=8, method="full")
+    fast = confirmation_experiment(cred, game, Born(), trials=8)
+    slow = reference_experiment(cred, [(game, Direct())], Born(), trials=8)
 
     def as_map(report):
         return {

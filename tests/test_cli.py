@@ -56,18 +56,20 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--stage", "3", "--m", "3", "--n", "2"],
-            ["--stage", "3", "--m", "0", "--n", "5"],
-            ["--stage", "2", "--n", "1"],
-            ["--stage", "general", "--a1sq", "1.5"],
-            ["--stage", "3", "--m", "2"],
-            ["--stage", "3", "--n", "5"],
-            ["--stage", "3", "--max-n", "1"],
-            ["--stage", "general", "--max-denominator", "1"],
+            ["dw", "verify", "--stage", "3", "--m", "3", "--n", "2"],
+            ["dw", "verify", "--stage", "3", "--m", "0", "--n", "5"],
+            ["dw", "verify", "--stage", "2", "--n", "1"],
+            ["dw", "verify", "--stage", "general", "--a1sq", "1.5"],
+            ["dw", "verify", "--stage", "3", "--m", "2"],
+            ["dw", "verify", "--stage", "3", "--n", "5"],
+            ["dw", "verify", "--stage", "3", "--max-n", "1"],
+            ["dw", "verify", "--stage", "general", "--max-denominator", "1"],
+            ["egal", "demo", "--epsilon", "0.5"],
+            ["egal", "demo", "--fine-dim", "6", "--coarse-factor", "4"],
         ],
     )
     def test_bad_verify_input_is_usage_error(self, runner, argv):
-        result = runner.invoke(main, ["dw", "verify", *argv])
+        result = runner.invoke(main, argv)
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.output.splitlines()[-1].startswith("Error: ")
@@ -180,6 +182,24 @@ class TestConfirmRun:
             ],
         )
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize(
+        "games, depth",
+        [([], "3"), ([{"game": json.loads(game_to_json(THIRD_GAME))}], "-1")],
+        ids=["empty-games", "negative-depth"],
+    )
+    def test_bad_input_is_usage_error(self, runner, games, depth):
+        theories = os.path.join(os.path.dirname(__file__), "..", "configs", "born_vs_skew.json")
+        with runner.isolated_filesystem():
+            with open("games.json", "w") as fh:
+                json.dump(games, fh)
+            result = runner.invoke(
+                main, ["confirm", "run", "--theories", theories, "--games", "games.json", "--depth", depth]
+            )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines()[-1].startswith("Error: ")
+        assert "Traceback" not in result.output
 
 
 class TestExtractCommand:

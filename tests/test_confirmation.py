@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchlab import (
+    AncillaCoupled,
     Born,
     Conditionalize,
     CredenceState,
@@ -13,6 +15,7 @@ from branchlab import (
     Direct,
     Egalitarian,
     Rigid,
+    SquaredWeightRenormalized,
     build_dutch_book,
     case_tree,
     conditionalize,
@@ -23,6 +26,7 @@ from branchlab import (
     weighted_game,
 )
 from branchlab.confirmation import settle_bet
+from confirmation_reference import reference_experiment
 
 
 def worked_credences():
@@ -196,10 +200,8 @@ class TestConfirmationExperiment:
     @pytest.mark.parametrize("strategy", [Born(), Egalitarian(1e-6)])
     def test_classes_agree_with_full_enumeration(self, strategy):
         cred = two_theory_credences()
-        fast = confirmation_experiment(cred, THIRD_GAME, strategy, trials=8, method="classes")
-        slow = confirmation_experiment(
-            cred, [(THIRD_GAME, Direct())], strategy, trials=8, method="full"
-        )
+        fast = confirmation_experiment(cred, THIRD_GAME, strategy, trials=8)
+        slow = reference_experiment(cred, [(THIRD_GAME, Direct())], strategy, trials=8)
 
         def as_map(report):
             return {
@@ -222,13 +224,13 @@ class TestConfirmationExperiment:
                 "half": {1.0: Fraction(0), 2.0: Fraction(1)},
             },
         )
-        report = confirmation_experiment(cred, THIRD_GAME, Born(), trials=2, method="full")
+        report = confirmation_experiment(cred, THIRD_GAME, Born(), trials=2)
         frozen = [row for row in report.rows if row.frozen]
         assert frozen
         for row in frozen:
             assert row.credences == {"sure": Fraction(1, 2), "half": Fraction(1, 2)}
 
-    def test_classes_method_rejects_zero_likelihoods(self):
+    def test_zero_likelihoods_on_a_repeated_game_match_reference(self):
         cred = CredenceState(
             priors={"a": Fraction(1, 2), "b": Fraction(1, 2)},
             likelihoods={
@@ -236,9 +238,55 @@ class TestConfirmationExperiment:
                 "b": {1.0: Fraction(1, 2), 2.0: Fraction(1, 2)},
             },
         )
-        with pytest.raises(ValueError, match="positive likelihoods"):
-            confirmation_experiment(cred, THIRD_GAME, Born(), trials=3, method="classes")
+        report = confirmation_experiment(cred, THIRD_GAME, Born(), trials=3)
+        assert report.rows == reference_experiment(cred, THIRD_GAME, Born(), trials=3).rows
+
+    def test_cycled_depth_thirty_runs(self):
+        cycle = [(THIRD_GAME, Direct()), (THIRD_GAME, AncillaCoupled(1, 3))]
+        report = confirmation_experiment(two_theory_credences(), cycle, Egalitarian(1e-6), trials=30)
+        assert len(report.rows_at(30)) == 31
+        assert sum(row.caring_mass for row in report.rows_at(30)) == 1
 
     def test_posterior_helper(self):
         assert posterior(worked_credences(), "T", "A") == Fraction(9, 14)
         assert evidence_probability(worked_credences(), "A") == Fraction(7, 10)
+
+
+OUTCOMES = (1.0, 2.0, 3.0)
+likelihood_values = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+
+
+@st.composite
+def cycled_games(draw):
+    """A (game, realization) pair on Fraction weights; ancilla:1,3 needs two outcomes."""
+    k = draw(st.sampled_from([2, 3]))
+    weights = [Fraction(draw(st.integers(1, 5))) for _ in range(k)]
+    game = weighted_game([w / sum(weights) for w in weights], list(range(k)))
+    realization = AncillaCoupled(1, 3) if k == 2 and draw(st.booleans()) else Direct()
+    return game, realization
+
+
+@st.composite
+def credence_states(draw):
+    """2-3 theories; likelihoods may be 0 and a theory may leave an outcome out."""
+    names = [f"t{i}" for i in range(draw(st.integers(2, 3)))]
+    raw = [Fraction(draw(st.integers(0, 3))) for _ in names]
+    raw[0] += 1
+    priors = {name: p / sum(raw) for name, p in zip(names, raw)}
+    likelihoods = {
+        name: {x: draw(likelihood_values) for x in OUTCOMES if draw(st.integers(0, 9))}
+        for name in names
+    }
+    return CredenceState(priors=priors, likelihoods=likelihoods)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cred=credence_states(),
+    games=st.lists(cycled_games(), min_size=1, max_size=3),
+    strategy=st.sampled_from([Born(), Egalitarian(1e-6), SquaredWeightRenormalized()]),
+    trials=st.integers(0, 7),
+)
+def test_class_recursion_matches_path_enumeration(cred, games, strategy, trials):
+    report = confirmation_experiment(cred, games, strategy, trials)
+    assert report.rows == reference_experiment(cred, games, strategy, trials).rows
