@@ -98,6 +98,13 @@ def _strategy(spec: str):
         raise click.UsageError(str(exc))
 
 
+def _value(strategy, g, realization) -> float:
+    try:
+        return value_game(strategy, g, realization)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
 @click.group()
 def main() -> None:
     """Branching-measurement decision lab."""
@@ -136,7 +143,7 @@ def game_eval(game_path, strategy_spec, realization_spec, relabel_check, fmt, ou
         raise click.UsageError("invalid game: " + "; ".join(problems))
     from .games import born_weights
 
-    value = value_game(strategy, g, realization)
+    value = _value(strategy, g, realization)
     report = {
         "strategy": strategy_spec,
         "realization": realization_label(realization),
@@ -148,7 +155,7 @@ def game_eval(game_path, strategy_spec, realization_spec, relabel_check, fmt, ou
         label_map = {l: f"{l}_renamed" for l in g.state.basis_labels}
         eigenvalue_map = {x: 2.0 * x + 3.0 for x in g.observable.eigenvalues.values()}
         twin = relabel_game(g, label_map, eigenvalue_map)
-        twin_value = value_game(strategy, twin, realization)
+        twin_value = _value(strategy, twin, realization)
         gap = abs(value - twin_value)
         report["relabeled_value"] = twin_value
         report["relabel_gap"] = gap
@@ -197,17 +204,19 @@ def dw_verify(
     payoffs = ((Fraction(u1), Fraction(u2)),)
     try:
         if stage == "1":
-            report = verify_stage1(strategy, payoff_count=payoff_count or 100, seed=seed)
+            count = 100 if payoff_count is None else payoff_count
+            report = verify_stage1(strategy, payoff_count=count, seed=seed)
         elif stage == "2":
+            count = 20 if payoff_count is None else payoff_count
             if n_ is not None:
-                report = verify_stage2(strategy, n_, payoff_count=payoff_count or 20, seed=seed)
+                report = verify_stage2(strategy, n_, payoff_count=count, seed=seed)
             else:
-                report = verify_stage2_sweep(strategy, max_n=max_n or 64, payoff_count=payoff_count or 20, seed=seed)
+                report = verify_stage2_sweep(strategy, max_n=64 if max_n is None else max_n, payoff_count=count, seed=seed)
         elif stage == "3":
             if m_ is not None:
                 report = verify_stage3(strategy, m_, n_, payoffs=payoffs)
             else:
-                report = verify_stage3_sweep(strategy, max_n=max_n or 32, payoffs=payoffs)
+                report = verify_stage3_sweep(strategy, max_n=32 if max_n is None else max_n, payoffs=payoffs)
         elif stage == "general":
             report = StageReport.merge([
                 verify_stage_general(
@@ -308,8 +317,11 @@ def dutchbook(pa, pta, q, stake, sweep, seed, fmt, out) -> None:
         pa_f, pta_f, q_f, stake_f = Fraction(pa), Fraction(pta), Fraction(q), Fraction(stake)
     except (ValueError, ZeroDivisionError) as exc:
         raise click.UsageError(f"bad quotient: {exc}")
-    cred = _credences_for(pa_f, pta_f)
-    book = build_dutch_book(cred, Deviant({("T", "A"): q_f}), "A", "T", stake=stake_f)
+    try:
+        cred = _credences_for(pa_f, pta_f)
+        book = build_dutch_book(cred, Deviant({("T", "A"): q_f}), "A", "T", stake=stake_f)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     if book is None:
         _write(dumps_stable({"book": None, "reason": "announced posterior matches the conditional credence"}).encode(), out)
         raise SystemExit(0)

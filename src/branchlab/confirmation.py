@@ -181,7 +181,9 @@ def build_dutch_book(
     placement-time quotient, yet the three settle at -|p - q| r S in all of
     the cases (no evidence), (evidence, theory) and (evidence, no theory).
     Returns None when the announced posterior equals the conditional
-    credence: a conditionalizer cannot be booked this way.
+    credence: a conditionalizer cannot be booked this way.  An evidence
+    probability outside (0, 1) or an announced posterior outside [0, 1]
+    raises ValueError.
     """
     if isinstance(policy, Conditionalize):
         return None
@@ -190,6 +192,8 @@ def build_dutch_book(
     if not 0.0 < float(r) < 1.0:
         raise ValueError(f"evidence probability must lie strictly inside (0, 1), got {float(r)!r}")
     q = announced_posterior(policy, cred, theory, evidence)
+    if not 0 <= q <= 1:
+        raise ValueError(f"announced posterior must lie in [0, 1], got {float(q)!r}")
     gap = p - q
     if abs(float(gap)) <= 1e-12:
         return None

@@ -347,11 +347,18 @@ def game_from_json_dict(doc: Mapping) -> QuantumGame:
     )
     payoff = PayoffFunction(
         {
-            float(key): Consequence(entry["consequence"], float(entry["utility"]))
+            float(key): Consequence(entry["consequence"], _finite_utility(entry["utility"]))
             for key, entry in doc["payoff"].items()
         }
     )
     return QuantumGame(state, observable, payoff)
+
+
+def _finite_utility(raw) -> float:
+    u = float(raw)
+    if not math.isfinite(u):
+        raise ValueError(f"utility must be finite, got {raw!r}")
+    return u
 
 
 def game_to_json(game: QuantumGame) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence, Union
+from typing import Callable, Hashable, Mapping, Sequence, Union
 
 from .branching import BranchTree, branch
 from .exact import Number
@@ -159,14 +159,30 @@ def _exact_utility(u: Number) -> Number:
     return u if isinstance(u, (int, Fraction)) else Fraction(u)
 
 
-def _tree_value_exact(strategy: Strategy, tree: BranchTree, payoff: PayoffFunction) -> Number:
-    # Exact rational arithmetic whenever masses and utilities allow it, so
-    # that identities like realization-independence hold to the last bit.
-    care = caring_measure(strategy, tree).by_outcome()
+def _care_by_outcome(strategy: Strategy, tree: BranchTree) -> tuple[tuple[float, Number], ...]:
+    """The strategy's care over the tree, summed per outcome, in outcome order.
+
+    It depends on the tree alone, not on any payoff, so one care prices every
+    payoff staked on the same tree.  A table preference has no caring measure
+    and raises ValueError.
+    """
+    return tuple(sorted(caring_measure(strategy, tree).by_outcome().items()))
+
+
+def _price(care: Sequence[tuple[float, Number]], utility: Callable[[float], Number]) -> Number:
+    """Value of a payoff against care by outcome: the sum of mass(x) * u(x).
+
+    Utilities enter as exact rationals, so with rational masses the value is
+    exact and identities like realization-independence hold to the last bit.
+    """
     total: Number = Fraction(0)
-    for outcome, mass in sorted(care.items()):
-        total = total + mass * _exact_utility(payoff.utility(outcome))
+    for outcome, mass in care:
+        total = total + mass * _exact_utility(utility(outcome))
     return total
+
+
+def _tree_value_exact(strategy: Strategy, tree: BranchTree, payoff: PayoffFunction) -> Number:
+    return _price(_care_by_outcome(strategy, tree), payoff.utility)
 
 
 def value_game(

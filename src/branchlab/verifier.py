@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .branching import (
     BranchTree,
@@ -39,6 +39,8 @@ from .strategies import (
     Born,
     Egalitarian,
     Strategy,
+    _care_by_outcome,
+    _price,
     _tree_value_exact,
     _value_game_exact,
 )
@@ -105,21 +107,61 @@ def random_rational_payoffs(count: int, size: int, seed: int) -> list[tuple[Frac
     return sweep
 
 
+def _outcomes(game: QuantumGame) -> tuple[float, ...]:
+    """The game's outcomes in basis-label order, the order builders list utilities in."""
+    return tuple(game.observable.eigenvalue(label) for label in game.state.basis_labels)
+
+
+def _staked(outcomes: tuple[float, ...], us: Sequence[Number]) -> Callable[[float], Number]:
+    """Utility by outcome for one payoff listed in outcome order."""
+    if len(us) != len(outcomes):
+        raise ValueError("one utility per outcome")
+    return dict(zip(outcomes, us)).__getitem__
+
+
+def _equal_care(
+    strategy: Strategy, n: int, payoffs: Sequence[Sequence[Number]]
+) -> tuple[tuple[tuple[float, Number], ...], tuple[float, ...]]:
+    """Care over the equal n-branch tree and its outcomes, built once for all payoffs.
+
+    The state, and hence its branch tree and the strategy's care, do not depend
+    on the utilities, so the game staking the first payoff stands for them all.
+    """
+    if not payoffs:
+        raise ValueError("need at least one payoff")
+    game = equal_game(n, payoffs[0])
+    return _care_by_outcome(strategy, branch(game, Direct())), _outcomes(game)
+
+
+def _check_payoff_count(payoff_count: int) -> None:
+    if payoff_count < 1:
+        raise ValueError(f"payoff count must be at least 1, got {payoff_count}")
+
+
 def verify_stage1(
     strategy: Strategy,
     payoffs: Sequence[Sequence[Number]] | None = None,
     payoff_count: int = 100,
     seed: int = 7,
 ) -> StageReport:
-    """Equal two-branch game: value must be the average of the two utilities."""
+    """Equal two-branch game: value must be the average of the two utilities.
+
+    The equal two-branch game is branched, and the strategy's care taken,
+    once; each payoff is then priced against that care in exact arithmetic.
+    Without explicit payoffs, two pinned cases precede payoff_count random
+    ones; a count below 1, an empty payoff list or a payoff without exactly
+    two utilities raises ValueError.
+    """
     if payoffs is None:
+        _check_payoff_count(payoff_count)
         payoffs = [(Fraction(0), Fraction(1)), (Fraction(7), Fraction(7))]
         payoffs += random_rational_payoffs(payoff_count, 2, seed)
+    care, outcomes = _equal_care(strategy, 2, payoffs)
     worst: Number = Fraction(0)
     cases = []
-    for u1, u2 in payoffs:
-        game = equal_game(2, (u1, u2))
-        value = _value_game_exact(strategy, game, Direct())
+    for us in payoffs:
+        value = _price(care, _staked(outcomes, us))
+        u1, u2 = us
         expected = Fraction(u1 + u2, 2) if isinstance(u1 + u2, (int, Fraction)) else (u1 + u2) / 2
         residual = abs(value - expected)
         worst = max(worst, residual)
@@ -148,16 +190,24 @@ def verify_stage2(
     payoff_count: int = 20,
     seed: int = 11,
 ) -> StageReport:
-    """Equal n-branch game: value must be the mean utility."""
+    """Equal n-branch game: value must be the mean utility.
+
+    The equal n-branch game is built, validated and branched once, and the
+    strategy's care taken once, whatever the number of payoffs; each payoff
+    is then priced against that care in exact arithmetic.  A count below 1,
+    an empty payoff list or a payoff without exactly n utilities raises
+    ValueError.
+    """
     if n < 2:
         raise ValueError("stage 2 needs n >= 2")
     if payoffs is None:
+        _check_payoff_count(payoff_count)
         payoffs = random_rational_payoffs(payoff_count, n, seed + n)
+    care, outcomes = _equal_care(strategy, n, payoffs)
     worst: Number = Fraction(0)
     cases = []
     for us in payoffs:
-        game = equal_game(n, us)
-        value = _value_game_exact(strategy, game, Direct())
+        value = _price(care, _staked(outcomes, us))
         total = sum(us, Fraction(0))
         expected = total / n if isinstance(total, float) else Fraction(total, n)
         residual = abs(value - expected)
@@ -189,24 +239,34 @@ def verify_stage3(
     """Rational-weight game sqrt(m/n), sqrt((n-m)/n) through the equalizing coupling.
 
     The ancilla tree (two run-length leaves standing for m and n - m
-    sub-branches) is checked to be an equal n-branch split, valued through
-    the grouping, and compared against the weighted average
-    (m*u1 + (n-m)*u2)/n.  The report's residual also folds in the gap between
-    the ancilla-realized and direct values, so a realization-sensitive
-    strategy fails here even when its ancilla value matches.
+    sub-branches) is built once and checked to be an equal n-branch split;
+    the direct tree is built once too, and the strategy's care over each is
+    taken once.  Each payoff is then priced through the grouping and compared
+    against the weighted average (m*u1 + (n-m)*u2)/n.  The report's residual
+    also folds in the gap between the ancilla-realized and direct values, so
+    a realization-sensitive strategy fails here even when its ancilla value
+    matches.  An empty payoff list or a payoff without exactly two utilities
+    raises ValueError.
     """
     if not (1 <= m < n):
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
+    if not payoffs:
+        raise ValueError("need at least one payoff")
+    game = weighted_game((Fraction(m, n), Fraction(n - m, n)), payoffs[0])
+    tree = branch(game, AncillaCoupled(m, n))
+    equal_share = Fraction(1, n)
+    if any(leaf.weight != equal_share for leaf in tree.leaves):
+        raise AssertionError("ancilla coupling failed to produce equal branches")
+    ancilla_care = _care_by_outcome(strategy, tree)
+    direct_care = _care_by_outcome(strategy, branch(game, Direct()))
+    outcomes = _outcomes(game)
     worst: Number = Fraction(0)
     cases = []
-    for u1, u2 in payoffs:
-        game = weighted_game((Fraction(m, n), Fraction(n - m, n)), (u1, u2))
-        tree = branch(game, AncillaCoupled(m, n))
-        equal_share = Fraction(1, n)
-        if any(leaf.weight != equal_share for leaf in tree.leaves):
-            raise AssertionError("ancilla coupling failed to produce equal branches")
-        ancilla_value = _tree_value_exact(strategy, tree, game.payoff)
-        direct_value = _value_game_exact(strategy, game, Direct())
+    for us in payoffs:
+        utility = _staked(outcomes, us)
+        ancilla_value = _price(ancilla_care, utility)
+        direct_value = _price(direct_care, utility)
+        u1, u2 = us
         u1x = u1 if isinstance(u1, (int, Fraction)) else Fraction(u1)
         u2x = u2 if isinstance(u2, (int, Fraction)) else Fraction(u2)
         expected = Fraction(m * u1x + (n - m) * u2x, n)
@@ -434,7 +494,11 @@ def default_demo_game() -> QuantumGame:
 def verify_stage2_sweep(
     strategy: Strategy, max_n: int = 64, payoff_count: int = 20, seed: int = 11
 ) -> StageReport:
-    """Stage 2 across every branch count up to max_n, merged into one report."""
+    """Stage 2 across every branch count up to max_n, merged into one report.
+
+    Each branch count's equal game is branched once for all its payoffs; a
+    payoff count below 1 raises ValueError.
+    """
     if max_n < 2:
         raise ValueError(f"stage 2 sweep needs max_n >= 2, got {max_n}")
     reports = [verify_stage2(strategy, n, payoff_count=payoff_count, seed=seed) for n in range(2, max_n + 1)]

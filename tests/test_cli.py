@@ -76,6 +76,51 @@ class TestExitCodes:
         assert "Traceback" not in result.output
 
 
+class TestBadInputExitsTwo:
+    @staticmethod
+    def _assert_usage_error(result):
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines()[-1].startswith("Error: ")
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dw", "verify", "--stage", "1", "--payoff-count", "0"],
+            ["dw", "verify", "--stage", "2", "--n", "4", "--payoff-count", "0"],
+            ["dw", "verify", "--stage", "2", "--n", "4", "--payoff-count", "-3"],
+            ["dw", "verify", "--stage", "2", "--max-n", "4", "--payoff-count", "0"],
+            ["dw", "verify", "--stage", "2", "--max-n", "0"],
+            ["dutchbook", "--pa", "1"],
+            ["dutchbook", "--pa", "0"],
+            ["dutchbook", "--pta", "1.5"],
+            ["dutchbook", "--q", "7"],
+        ],
+    )
+    def test_bad_count_or_quotient(self, runner, argv):
+        self._assert_usage_error(runner.invoke(main, argv))
+
+    @pytest.mark.parametrize(
+        "weights, utility, realization",
+        [
+            ((Fraction(1),), 0, "ancilla:1,3"),
+            ((Fraction(1, 3),) * 3, 0, "ancilla:1,3"),
+            ((Fraction(1, 3), Fraction(2, 3)), "NaN", "direct"),
+            ((Fraction(1, 3), Fraction(2, 3)), "-Infinity", "direct"),
+        ],
+        ids=["one-component-ancilla", "three-component-ancilla", "nan-utility", "infinite-utility"],
+    )
+    def test_bad_game_eval(self, runner, weights, utility, realization):
+        doc = json.loads(game_to_json(weighted_game(weights, (0,) * len(weights))))
+        doc["payoff"]["1.0"]["utility"] = utility
+        with runner.isolated_filesystem():
+            with open("game.json", "w") as fh:
+                json.dump(doc, fh)
+            result = runner.invoke(main, ["game", "eval", "--game", "game.json", "--realization", realization])
+        self._assert_usage_error(result)
+
+
 class TestInProcess:
     def test_redirected_stdout_is_released(self):
         buf = io.StringIO()

@@ -145,6 +145,12 @@ class TestDutchBook:
         nets = evaluate_book_on_branches(None, tree, assignment)
         assert all(net == 0 for net in nets.values())
 
+    @pytest.mark.parametrize("q", [Fraction(7), Fraction(-1, 10)])
+    def test_announced_posterior_outside_unit_interval_rejected(self, q):
+        cred = book_credences(Fraction(1, 2), Fraction(4, 5))
+        with pytest.raises(ValueError, match="announced posterior"):
+            build_dutch_book(cred, Deviant({("T", "A"): q}), "A", "T")
+
     def test_zero_stake(self):
         cred = book_credences(Fraction(1, 2), Fraction(4, 5))
         book = build_dutch_book(cred, Deviant({("T", "A"): Fraction(3, 5)}), "A", "T", stake=0)

@@ -171,6 +171,13 @@ class TestSerialization:
             assert float(w1[x]) == pytest.approx(float(w2[x]), abs=1e-15)
         assert back.payoff.utility(1.0) == 10.0
 
+    @pytest.mark.parametrize("utility", ["NaN", "Infinity", float("-inf")])
+    def test_non_finite_utility_rejected(self, utility):
+        doc = json.loads(game_to_json(weighted_game((Fraction(1, 3), Fraction(2, 3)), (10, 0))))
+        doc["payoff"]["2.0"]["utility"] = utility
+        with pytest.raises(ValueError, match="utility must be finite"):
+            game_from_json(json.dumps(doc))
+
     def test_parse_realization(self):
         assert parse_realization("direct") == Direct()
         assert parse_realization("ancilla:1,3") == AncillaCoupled(1, 3)

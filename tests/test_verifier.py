@@ -4,14 +4,21 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import branchlab.verifier
 from branchlab import (
+    AncillaCoupled,
     Born,
     Direct,
     Egalitarian,
     EigenvalueWeighted,
     RotationConfig,
+    SquaredWeightRenormalized,
+    TablePreference,
     born_weights,
+    branch,
+    caring_measure,
     egalitarian_incoherence_demo,
     equal_game,
     reduce_by_pairwise_coupling,
@@ -22,7 +29,7 @@ from branchlab import (
     verify_stage_general,
     weighted_game,
 )
-from branchlab.verifier import DEMO_SEED, StageReport, default_demo_game
+from branchlab.verifier import DEMO_SEED, StageReport, default_demo_game, verify_stage2_sweep
 
 
 class TestStage1:
@@ -210,3 +217,129 @@ class TestMerge:
             "S4to6", False, 0.5, "a ; b", ({"k": 1}, {"k": 2}), inconclusive=True
         )
         assert StageReport.merge(parts[:1], details="one").details == "one"
+
+
+# -- One tree per stage check, every payoff priced against its care -----------
+
+
+def per_payoff_value(strategy, game, realization):
+    """The per-payoff path: build and branch the game, take care, value it."""
+    tree = branch(game, realization)
+    total = Fraction(0)
+    for outcome, mass in sorted(caring_measure(strategy, tree).by_outcome().items()):
+        u = game.payoff.utility(outcome)
+        total = total + mass * (u if isinstance(u, (int, Fraction)) else Fraction(u))
+    return total
+
+
+CARING = st.sampled_from([Born(), Egalitarian(1e-6), SquaredWeightRenormalized(), EigenvalueWeighted()])
+UTILITY = st.one_of(
+    st.integers(-60, 60),
+    st.fractions(min_value=-60, max_value=60, max_denominator=12),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestOneTreePerCheck:
+    @settings(max_examples=60, deadline=None)
+    @given(CARING, st.lists(st.tuples(UTILITY, UTILITY), min_size=1, max_size=4))
+    def test_stage1_matches_per_payoff_path(self, strategy, payoffs):
+        report = verify_stage1(strategy, payoffs=payoffs)
+        for us, case in zip(payoffs, report.cases):
+            assert case["value"] == float(per_payoff_value(strategy, equal_game(2, us), Direct()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(CARING, st.integers(2, 12).flatmap(
+        lambda n: st.lists(st.lists(UTILITY, min_size=n, max_size=n), min_size=1, max_size=4)
+    ))
+    def test_stage2_matches_per_payoff_path(self, strategy, payoffs):
+        n = len(payoffs[0])
+        report = verify_stage2(strategy, n, payoffs=payoffs)
+        for us, case in zip(payoffs, report.cases):
+            assert case["value"] == float(per_payoff_value(strategy, equal_game(n, us), Direct()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        CARING,
+        st.integers(2, 12).flatmap(lambda n: st.tuples(st.integers(1, n - 1), st.just(n))),
+        st.lists(st.tuples(UTILITY, UTILITY), min_size=1, max_size=4),
+    )
+    def test_stage3_matches_per_payoff_path(self, strategy, mn, payoffs):
+        m, n = mn
+        report = verify_stage3(strategy, m, n, payoffs=payoffs)
+        for us, case in zip(payoffs, report.cases):
+            game = weighted_game((Fraction(m, n), Fraction(n - m, n)), us)
+            assert case["ancilla_value"] == float(per_payoff_value(strategy, game, AncillaCoupled(m, n)))
+            assert case["direct_value"] == float(per_payoff_value(strategy, game, Direct()))
+
+    @pytest.mark.parametrize(
+        "check, branches",
+        [
+            (lambda count: verify_stage1(Born(), payoff_count=count), 1),
+            (lambda count: verify_stage2(Egalitarian(1e-6), 9, payoff_count=count), 1),
+            (lambda count: verify_stage3(Born(), 2, 7, payoffs=[(count, 1)] * count), 2),
+        ],
+        ids=["stage1", "stage2", "stage3"],
+    )
+    def test_branches_once_whatever_the_payoff_count(self, monkeypatch, check, branches):
+        calls = []
+
+        def counting_branch(*args, **kwargs):
+            calls.append(args)
+            return branch(*args, **kwargs)
+
+        monkeypatch.setattr(branchlab.verifier, "branch", counting_branch)
+        for count in (1, 25):
+            calls.clear()
+            assert len(check(count).cases) >= count
+            assert len(calls) == branches
+
+    def test_unequal_care_still_fails_stage2(self):
+        assert not verify_stage2(EigenvalueWeighted(), 5, payoff_count=3).passed
+        assert verify_stage2(SquaredWeightRenormalized(), 5, payoff_count=3).passed
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda t: verify_stage1(t, payoffs=[(0, 1)]),
+            lambda t: verify_stage2(t, 3, payoffs=[(0, 1, 2)]),
+            lambda t: verify_stage3(t, 1, 3),
+        ],
+        ids=["stage1", "stage2", "stage3"],
+    )
+    def test_table_preference_has_no_caring_measure(self, check):
+        with pytest.raises(ValueError, match="table preference"):
+            check(TablePreference(order=()))
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda: verify_stage1(Born(), payoff_count=0),
+            lambda: verify_stage1(Born(), payoffs=[]),
+            lambda: verify_stage2(Born(), 4, payoff_count=0),
+            lambda: verify_stage2(Born(), 4, payoff_count=-3),
+            lambda: verify_stage2(Born(), 4, payoffs=[]),
+            lambda: verify_stage2_sweep(Born(), 4, payoff_count=0),
+            lambda: verify_stage3(Born(), 1, 3, payoffs=()),
+        ],
+        ids=[
+            "stage1-count-0", "stage1-empty", "stage2-count-0", "stage2-count-negative",
+            "stage2-empty", "stage2-sweep-count-0", "stage3-empty",
+        ],
+    )
+    def test_no_payoffs_is_rejected(self, check):
+        with pytest.raises(ValueError):
+            check()
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda: verify_stage1(Born(), payoffs=[(0, 1), (0, 1, 2)]),
+            lambda: verify_stage2(Born(), 3, payoffs=[(0, 1, 2), (0, 1)]),
+            lambda: verify_stage3(Born(), 1, 3, payoffs=[(0, 1), (5,)]),
+        ],
+        ids=["stage1", "stage2", "stage3"],
+    )
+    def test_every_payoff_needs_one_utility_per_outcome(self, check):
+        with pytest.raises(ValueError, match="one utility per outcome"):
+            check()
