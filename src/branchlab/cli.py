@@ -394,12 +394,17 @@ def confirm_run(
     except (KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad theories/games file: {exc}")
     strategy = _strategy(strategy_spec)
+    target = true_theory or cred.theories()[0]
+    if target not in cred.priors:
+        raise click.UsageError(f"--true-theory {target!r} is not one of {', '.join(cred.theories())}")
+    for name, value in (("--threshold", threshold), ("--require-mass", require_mass)):
+        if value is not None and not math.isfinite(value):
+            raise click.UsageError(f"{name} must be finite, got {value!r}")
     try:
         report = confirmation_experiment(cred, games, strategy, trials=depth)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     _write(emit(report, fmt), out)
-    target = true_theory or report.theories[0]
     mass = float(report.final_mass_above(target, threshold))
     _echo(f"final caring mass with credence({target}) > {fmt_float(threshold)}: {fmt_float(mass)}")
     if require_mass is not None and mass <= require_mass:

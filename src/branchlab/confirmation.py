@@ -10,6 +10,7 @@ ends up investing in branches where the true theory is highly credible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence, Union
@@ -313,13 +314,20 @@ class TrajectoryReport:
         return total
 
 
+def _integers(values: Sequence[int | Fraction]) -> tuple[int, ...]:
+    """The values times the lcm of their denominators: a positive common factor."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values)
+
+
 def _grow(classes: dict, step: Sequence[tuple[int, Number, tuple | None]]) -> dict:
     """One more measurement on every class: (counts, frozen-at) -> [mass, weights].
 
-    An unfrozen class's weights are prior x likelihood products fixed by its
-    counts, so classes that reach the same counts merge.  A class freezes on
-    an outcome that some theory gives no likelihood (likelihoods None) or
-    whose probability is zero, and keeps the weights it froze with.
+    An unfrozen class's weights are (scaled) prior x likelihood products
+    fixed by its counts, so classes that reach the same counts merge.  A
+    class freezes on an outcome that some theory gives no likelihood
+    (likelihoods None) or whose probability is zero, and keeps the weights it
+    froze with.
     """
     grown: dict = {}
     for (counts, frozen_at), (mass, weights) in classes.items():
@@ -344,17 +352,24 @@ def _grow(classes: dict, step: Sequence[tuple[int, Number, tuple | None]]) -> di
 def _rows(
     iteration: int, classes: dict, outcomes: Sequence[float], theories: Sequence[str]
 ) -> list[TrajectoryRow]:
-    """Rows merged by (outcome class, credences, frozen) and sorted by that key."""
+    """Rows merged by (outcome class, credences, frozen) and sorted by that key.
+
+    On exact input the class weights are ints: the key floats w / total by
+    correctly rounded int division, and a row's credence is the one reduction
+    Fraction(w, total).  Other weights are divided as they are.
+    """
     merged: dict[tuple, TrajectoryRow] = {}
     for (counts, frozen_at), (mass, weights) in classes.items():
-        total = sum(weights, Fraction(0))
-        credences = {t: w / total for t, w in zip(theories, weights)}
+        total = sum(weights)
         outcome_class = tuple(zip(outcomes, counts))
         frozen = frozen_at is not None
-        key = (outcome_class, tuple(sorted((t, float(v)) for t, v in credences.items())), frozen)
+        floats = tuple(sorted((t, float(w / total)) for t, w in zip(theories, weights)))
+        key = (outcome_class, floats, frozen)
         if key in merged:
             merged[key] = replace(merged[key], caring_mass=merged[key].caring_mass + mass)
         else:
+            exact = isinstance(total, int)
+            credences = {t: Fraction(w, total) if exact else w / total for t, w in zip(theories, weights)}
             merged[key] = TrajectoryRow(iteration, outcome_class, mass, credences, frozen)
     return [merged[key] for key in sorted(merged)]
 
@@ -377,6 +392,13 @@ def confirmation_experiment(
     depend on it only through its outcome counts and the counts at which it
     froze, so the enumeration carries one class per such pair and its cost
     grows polynomially with the number of trials.
+
+    A class carries its caring mass and one weight per theory, prior x the
+    likelihoods of its counts.  On exact input (every prior and likelihood an
+    int or Fraction) the priors are scaled by the lcm of their denominators
+    and each outcome's likelihood row by the lcm of that row's, so every
+    weight is an int: the positive factors cancel in each credence and leave
+    every zero test alone.  Float input is used as given.
     """
     if isinstance(strategy, TablePreference):
         raise ValueError("a table preference has no caring measure to weigh branches with")
@@ -396,13 +418,18 @@ def confirmation_experiment(
     axis = {x: i for i, x in enumerate(outcomes)}
     tables = [cred.likelihoods[t] for t in theories]
 
-    def likelihoods(x: float) -> tuple | None:
-        return tuple(table[x] for table in tables) if all(x in table for table in tables) else None
+    priors = tuple(cred.priors[t] for t in theories)
+    likelihoods = {
+        x: tuple(table[x] for table in tables) if all(x in table for table in tables) else None
+        for x in outcomes
+    }
+    values = [*priors, *(v for table in tables for v in table.values())]
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        priors = _integers(priors)
+        likelihoods = {x: None if row is None else _integers(row) for x, row in likelihoods.items()}
 
-    steps = [
-        [(axis[x], m, likelihoods(x)) for x, m in sorted(masses.items())] for masses in step_masses
-    ]
-    classes = {((0,) * len(outcomes), None): [Fraction(1), tuple(cred.priors[t] for t in theories)]}
+    steps = [[(axis[x], m, likelihoods[x]) for x, m in sorted(masses.items())] for masses in step_masses]
+    classes = {((0,) * len(outcomes), None): [Fraction(1), priors]}
     rows = [TrajectoryRow(0, (), Fraction(1), dict(cred.priors))]
     for it in range(1, trials + 1):
         classes = _grow(classes, steps[(it - 1) % len(steps)])

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .exact import Number
 
@@ -400,6 +399,9 @@ def _pair_matrix(a: Act, b: Act, states: Sequence[str], consequences: Sequence[s
 
 
 def _maximize_margin(c, A_ub, b_ub, A_eq, b_eq, bounds):
+    # scipy takes most of the package's import time; only an LP needs it.
+    from scipy.optimize import linprog
+
     res = linprog(
         c,
         A_ub=A_ub if A_ub is not None and len(A_ub) else None,

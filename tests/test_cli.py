@@ -5,6 +5,8 @@ import gc
 import io
 import json
 import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 
@@ -17,6 +19,13 @@ from branchlab.reporting import emit
 from branchlab.confirmation import TrajectoryReport
 
 THIRD_GAME = weighted_game((Fraction(1, 3), Fraction(2, 3)), (10, 0))
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+CONFIRM_RUN = [
+    "confirm", "run",
+    "--theories", os.path.join(CONFIGS, "born_vs_skew.json"),
+    "--games", os.path.join(CONFIGS, "third_twothirds_game.json"),
+    "--depth", "2",
+]
 
 
 @pytest.fixture
@@ -96,6 +105,11 @@ class TestBadInputExitsTwo:
             ["dutchbook", "--pa", "0"],
             ["dutchbook", "--pta", "1.5"],
             ["dutchbook", "--q", "7"],
+            [*CONFIRM_RUN, "--true-theory", "nosuch"],
+            [*CONFIRM_RUN, "--threshold", "nan"],
+            [*CONFIRM_RUN, "--threshold", "inf"],
+            [*CONFIRM_RUN, "--require-mass", "nan"],
+            [*CONFIRM_RUN, "--require-mass", "-inf"],
         ],
     )
     def test_bad_count_or_quotient(self, runner, argv):
@@ -135,6 +149,23 @@ class TestInProcess:
         del buf
         gc.collect()
         assert ref() is None
+
+    def test_cli_import_and_dutchbook_leave_scipy_unloaded(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "import branchlab.cli\n"
+            "assert 'scipy' not in sys.modules, 'import branchlab.cli loaded scipy'\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        branchlab.cli.main(['dutchbook'], prog_name='branchlab')\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, exc.code\n"
+            "assert 'scipy' not in sys.modules, 'dutchbook loaded scipy'\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 class TestDeterminism:

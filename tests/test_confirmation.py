@@ -25,8 +25,9 @@ from branchlab import (
     posterior,
     weighted_game,
 )
+from branchlab import confirmation
 from branchlab.confirmation import settle_bet
-from confirmation_reference import reference_experiment
+from confirmation_reference import fraction_weight_experiment, reference_experiment
 
 
 def worked_credences():
@@ -263,11 +264,15 @@ likelihood_values = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 3)
 
 
 @st.composite
-def cycled_games(draw):
-    """A (game, realization) pair on Fraction weights; ancilla:1,3 needs two outcomes."""
+def cycled_games(draw, floats=False):
+    """A (game, realization) pair on Fraction (or, if floats, maybe float) weights;
+    ancilla:1,3 needs two outcomes."""
     k = draw(st.sampled_from([2, 3]))
     weights = [Fraction(draw(st.integers(1, 5))) for _ in range(k)]
-    game = weighted_game([w / sum(weights) for w in weights], list(range(k)))
+    weights = [w / sum(weights) for w in weights]
+    if floats and draw(st.booleans()):
+        weights = [float(w) for w in weights]
+    game = weighted_game(weights, list(range(k)))
     realization = AncillaCoupled(1, 3) if k == 2 and draw(st.booleans()) else Direct()
     return game, realization
 
@@ -296,3 +301,81 @@ def credence_states(draw):
 def test_class_recursion_matches_path_enumeration(cred, games, strategy, trials):
     report = confirmation_experiment(cred, games, strategy, trials)
     assert report.rows == reference_experiment(cred, games, strategy, trials).rows
+
+
+@pytest.mark.parametrize(
+    "cred",
+    [
+        two_theory_credences(),
+        CredenceState(
+            priors={"a": 1, "b": 0, "c": 0},
+            likelihoods={
+                "a": {1.0: Fraction(0), 2.0: Fraction(3, 7)},
+                "b": {1.0: Fraction(1, 2), 2.0: 1},
+                "c": {2.0: Fraction(5, 6)},
+            },
+        ),
+    ],
+    ids=["two-theories", "zero-and-missing-likelihoods"],
+)
+def test_exact_class_weights_are_ints(monkeypatch, cred):
+    seen = []
+    grow = confirmation._grow
+
+    def recording_grow(classes, step):
+        grown = grow(classes, step)
+        seen.extend(w for state in (classes, grown) for _, weights in state.values() for w in weights)
+        return grown
+
+    monkeypatch.setattr(confirmation, "_grow", recording_grow)
+    cycle = [(THIRD_GAME, Direct()), (THIRD_GAME, AncillaCoupled(1, 3))]
+    report = confirmation_experiment(cred, cycle, Born(), trials=6)
+    assert seen and all(type(w) is int for w in seen)
+    assert report.rows == reference_experiment(cred, cycle, Born(), trials=6).rows
+
+
+def _bits(report):
+    """Rows with every number as (type, exact value or float hex)."""
+
+    def bits(v):
+        return type(v).__name__, v.hex() if isinstance(v, float) else v
+
+    return [
+        (row.iteration, row.outcome_class, bits(row.caring_mass), row.frozen,
+         tuple((t, bits(v)) for t, v in row.credences.items()))
+        for row in report.rows
+    ]
+
+
+@st.composite
+def float_credence_states(draw):
+    """Like credence_states, with each prior table and likelihood float or Fraction, at least one float."""
+    names = [f"t{i}" for i in range(draw(st.integers(2, 3)))]
+    raw = [draw(st.integers(0, 3)) for _ in names]
+    raw[0] += 1
+    float_priors = draw(st.booleans())
+    priors = {name: r / sum(raw) if float_priors else Fraction(r, sum(raw)) for name, r in zip(names, raw)}
+    likelihoods = {
+        name: {
+            x: draw(st.sampled_from([float, Fraction]))(draw(likelihood_values))
+            for x in OUTCOMES
+            if draw(st.integers(0, 9))
+        }
+        for name in names
+    }
+    values = [*priors.values(), *(v for table in likelihoods.values() for v in table.values())]
+    if not any(isinstance(v, float) for v in values):
+        priors = {name: float(p) for name, p in priors.items()}
+    return CredenceState(priors=priors, likelihoods=likelihoods)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cred=float_credence_states(),
+    games=st.lists(cycled_games(floats=True), min_size=1, max_size=3),
+    strategy=st.sampled_from([Born(), Egalitarian(1e-6), SquaredWeightRenormalized()]),
+    trials=st.integers(0, 7),
+)
+def test_float_input_rows_bit_identical_to_fraction_weights(cred, games, strategy, trials):
+    report = confirmation_experiment(cred, games, strategy, trials)
+    assert _bits(report) == _bits(fraction_weight_experiment(cred, games, strategy, trials))
