@@ -426,9 +426,12 @@ def confirm_run(
 def extract(prefs_path, roundtrip_sweep, seed, max_states, max_consequences, fmt, out) -> None:
     """Extract a probability and utility from a preference file."""
     if roundtrip_sweep is not None:
-        results = representation_roundtrip_sweep(
-            roundtrip_sweep, seed=seed, max_states=max_states, max_consequences=max_consequences
-        )
+        try:
+            results = representation_roundtrip_sweep(
+                roundtrip_sweep, seed=seed, max_states=max_states, max_consequences=max_consequences
+            )
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
         ok = all(r["ok"] for r in results)
         _write(emit(results, fmt if fmt != "json" else "csv"), out)
         _echo(f"round trips: {sum(r['ok'] for r in results)}/{len(results)} reproduced")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -119,51 +119,70 @@ class AxiomError(ValueError):
         super().__init__(f"{len(self.violations)} axiom violation(s): {self.violations[0].detail}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreferenceRelation:
     """A reflexive, total comparison over a finite act list.
 
-    weak contains index pairs (i, j) meaning act i is weakly preferred to
-    act j.  Totality is enforced at construction; transitivity is not, so
-    that inconsistent inputs can be represented and then diagnosed.
+    One encoding, coerced once at construction: ``weak`` is an (acts x acts)
+    bool matrix, weak[i, j] meaning act i is weakly preferred to act j (an
+    array is taken as given, its diagonal set; anything else is read as
+    (i, j) index pairs), and ``matrix`` holds each act's consequence indices
+    in ``setup.states`` order.  Totality and acts that name only listed
+    consequences are enforced here; transitivity is not, so that
+    inconsistent inputs can be represented and then diagnosed.  Relations
+    hold arrays, so they compare by identity.
     """
 
     setup: Setup
     acts: tuple[Act, ...]
-    weak: frozenset[tuple[int, int]]
+    weak: np.ndarray
+    matrix: np.ndarray = field(init=False, repr=False)
+    _index: dict[Act, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.acts)
-        if len(set(self.acts)) != n:
+        index = {act: i for i, act in enumerate(self.acts)}
+        if len(index) != n:
             raise ValueError("acts must be distinct")
+        consequence_index = {c: k for k, c in enumerate(self.setup.consequences)}
+        rows = []
         for act in self.acts:
             if not act.is_total_on(self.setup.states):
                 raise ValueError(f"act {act} is not total on the setup's states")
-        pairs = set(self.weak)
-        pairs.update((i, i) for i in range(n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) not in pairs and (j, i) not in pairs:
-                    raise ValueError(
-                        f"relation must be total: acts {i} and {j} are not compared"
-                    )
-        object.__setattr__(self, "weak", frozenset(pairs))
+            mapping = act.mapping()
+            try:
+                rows.append([consequence_index[mapping[s]] for s in self.setup.states])
+            except KeyError as exc:
+                missing = exc.args[0]
+                raise ValueError(
+                    f"act {mapping} names consequence {missing!r}, which the setup does not list"
+                ) from None
+        matrix = np.array(rows, dtype=np.intp).reshape(n, len(self.setup.states))
+
+        if isinstance(self.weak, np.ndarray):
+            weak = self.weak.astype(bool)
+            if weak.shape != (n, n):
+                raise ValueError(f"weak matrix must be {n} x {n}, got {weak.shape}")
+        else:
+            weak = np.zeros((n, n), dtype=bool)
+            pairs = np.array(list(self.weak), dtype=np.intp).reshape(-1, 2)
+            weak[pairs[:, 0], pairs[:, 1]] = True
+        np.fill_diagonal(weak, True)
+        uncompared = np.argwhere(~(weak | weak.T))
+        if len(uncompared):
+            i, j = uncompared[0]
+            raise ValueError(f"relation must be total: acts {i} and {j} are not compared")
+        weak.flags.writeable = matrix.flags.writeable = False
+        object.__setattr__(self, "weak", weak)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_tiers(cls, setup: Setup, tiers: Sequence[Sequence[Act]]) -> "PreferenceRelation":
         """Build from a best-first list of indifference tiers."""
-        acts: list[Act] = [act for tier in tiers for act in tier]
-        level = {}
-        for rank, tier in enumerate(tiers):
-            for act in tier:
-                level[act] = rank
-        weak = frozenset(
-            (i, j)
-            for i, a in enumerate(acts)
-            for j, b in enumerate(acts)
-            if level[a] <= level[b]
-        )
-        return cls(setup, tuple(acts), weak)
+        acts = tuple(act for tier in tiers for act in tier)
+        level = np.array([rank for rank, tier in enumerate(tiers) for _ in tier], dtype=np.intp)
+        return cls(setup, acts, level[:, None] <= level[None, :])
 
     @classmethod
     def from_pairs(
@@ -174,24 +193,20 @@ class PreferenceRelation:
     ) -> "PreferenceRelation":
         acts = tuple(acts)
         index = {act: i for i, act in enumerate(acts)}
-        weak = frozenset((index[a], index[b]) for a, b in weak_pairs)
-        return cls(setup, acts, weak)
+        return cls(setup, acts, [(index[a], index[b]) for a, b in weak_pairs])
 
     def index_of(self, act: Act) -> int | None:
-        try:
-            return self.acts.index(act)
-        except ValueError:
-            return None
+        return self._index.get(act)
 
     def contains(self, act: Act) -> bool:
-        return act in self.acts
+        return act in self._index
 
     def holds(self, a: Act, b: Act) -> bool:
         """a is weakly preferred to b."""
         i, j = self.index_of(a), self.index_of(b)
         if i is None or j is None:
             raise KeyError("both acts must be listed in the relation")
-        return (i, j) in self.weak
+        return bool(self.weak[i, j])
 
     def strictly(self, a: Act, b: Act) -> bool:
         return self.holds(a, b) and not self.holds(b, a)
@@ -201,13 +216,7 @@ class PreferenceRelation:
 
     def ranks(self) -> list[int]:
         """For each act, the number of acts strictly preferred to it."""
-        n = len(self.acts)
-        out = []
-        for i in range(n):
-            out.append(
-                sum(1 for j in range(n) if (j, i) in self.weak and (i, j) not in self.weak)
-            )
-        return out
+        return (self.weak & ~self.weak.T).sum(axis=0).tolist()
 
     def tiers(self) -> list[list[Act]]:
         """Indifference classes, best first.  Requires consistency."""
@@ -285,20 +294,20 @@ def generate_preferences(
 
 
 def check_axioms(prefs: PreferenceRelation) -> list[AxiomViolation]:
-    """Transitivity and dominance violations; empty list means consistent."""
-    violations: list[AxiomViolation] = []
-    n = len(prefs.acts)
-    weak = prefs.weak
-    ranks = prefs.ranks()
+    """Transitivity and dominance violations; empty list means consistent.
 
-    consistent = all(
-        ((i, j) in weak) == (ranks[i] <= ranks[j]) for i in range(n) for j in range(n)
-    )
-    if not consistent:
-        # Slow scan, only reached on genuinely intransitive input.
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if (i, j) in weak and (j, k) in weak and (i, k) not in weak:
-                a, b, c = prefs.acts[i], prefs.acts[j], prefs.acts[k]
+    Both passes walk the weak matrix one act row at a time, so memory stays
+    O(acts^2) however many states there are.
+    """
+    violations: list[AxiomViolation] = []
+    weak, acts = prefs.weak, prefs.acts
+    ranks = np.array(prefs.ranks())
+
+    # A relation is transitive exactly when it is the weak order of its ranks.
+    if not np.array_equal(weak, ranks[:, None] <= ranks[None, :]):
+        for i in range(len(acts)):
+            for j, k in np.argwhere(weak[i][:, None] & weak & ~weak[i][None, :]):
+                a, b, c = acts[i], acts[j], acts[k]
                 violations.append(
                     AxiomViolation(
                         kind="transitivity",
@@ -310,34 +319,30 @@ def check_axioms(prefs: PreferenceRelation) -> list[AxiomViolation]:
                     )
                 )
 
-    # Dominance is judged against the ordering of constant acts, where listed.
-    cons_pref: dict[tuple[str, str], bool] = {}
-    for c, d in itertools.product(prefs.setup.consequences, repeat=2):
-        ic = prefs.index_of(Act.constant(prefs.setup, c))
-        id_ = prefs.index_of(Act.constant(prefs.setup, d))
-        if ic is not None and id_ is not None:
-            cons_pref[(c, d)] = (ic, id_) in weak
-    for i, j in itertools.product(range(n), repeat=2):
-        if i == j:
-            continue
-        a, b = prefs.acts[i], prefs.acts[j]
-        statewise = [
-            cons_pref.get((a.consequence_for(s), b.consequence_for(s)))
-            for s in prefs.setup.states
-        ]
-        if all(v is True for v in statewise):
-            # a weakly dominates b; b must not be strictly preferred.
-            if (j, i) in weak and (i, j) not in weak:
-                violations.append(
-                    AxiomViolation(
-                        kind="dominance",
-                        acts=(a, b),
-                        detail=(
-                            f"{a.mapping()} gives weakly preferred consequences on every "
-                            f"state yet {b.mapping()} is strictly preferred"
-                        ),
-                    )
+    # Dominance is judged against the ordering of constant acts, where listed:
+    # prefer[c, d] holds when both constants are listed and c's is weakly preferred.
+    const = np.array(
+        [prefs._index.get(Act.constant(prefs.setup, c), -1) for c in prefs.setup.consequences]
+    )
+    listed = const >= 0
+    prefer = np.zeros((len(const), len(const)), dtype=bool)
+    prefer[np.ix_(listed, listed)] = weak[np.ix_(const[listed], const[listed])]
+    for i, a in enumerate(acts):
+        # Acts strictly preferred to a, then those a weakly dominates state by state.
+        above = np.flatnonzero(weak[:, i] & ~weak[i, :])
+        dominated = prefer[prefs.matrix[i], prefs.matrix[above]].all(axis=1)
+        for j in above[dominated]:
+            b = acts[j]
+            violations.append(
+                AxiomViolation(
+                    kind="dominance",
+                    acts=(a, b),
+                    detail=(
+                        f"{a.mapping()} gives weakly preferred consequences on every "
+                        f"state yet {b.mapping()} is strictly preferred"
+                    ),
                 )
+            )
     return violations
 
 
@@ -388,16 +393,6 @@ _LP_OPTIONS = {
 }
 
 
-def _pair_matrix(a: Act, b: Act, states: Sequence[str], consequences: Sequence[str]) -> np.ndarray:
-    """M[s, c] = [a(s) = c] - [b(s) = c]; EU(a) - EU(b) = p @ M @ u."""
-    cidx = {c: k for k, c in enumerate(consequences)}
-    M = np.zeros((len(states), len(consequences)))
-    for si, s in enumerate(states):
-        M[si, cidx[a.consequence_for(s)]] += 1.0
-        M[si, cidx[b.consequence_for(s)]] -= 1.0
-    return M
-
-
 def _maximize_margin(c, A_ub, b_ub, A_eq, b_eq, bounds):
     # scipy takes most of the package's import time; only an LP needs it.
     from scipy.optimize import linprog
@@ -418,40 +413,39 @@ def _maximize_margin(c, A_ub, b_ub, A_eq, b_eq, bounds):
 class _Extractor:
     """Deterministic max-margin search shared by the public entry point.
 
-    Strict tier constraints are stacked into a (K, ns, nc) tensor so that
-    fixing either block reduces each constraint to a dot product.  The search
-    ladder: alternation seeded by a rank-one relaxation in the monomials
-    p_s * u_c, alternation from uniform p, then coarse-to-fine grids over the
-    free utility classes, polishing every seed with alternating LPs.
+    A comparison of acts a and b is the (ns, nc) matrix M = onehot(a) -
+    onehot(b), indexed out of the relation's consequence matrix, so that
+    EU(a) - EU(b) = p @ M @ u.  Strict tier constraints stack into S and ties
+    into T, (K, ns, nc) each, so fixing either block reduces each constraint
+    to a dot product.  The search ladder: alternation seeded by a rank-one
+    relaxation in the monomials p_s * u_c, alternation from uniform p, then
+    coarse-to-fine grids over the free utility classes, polishing every seed
+    with alternating LPs.
     """
 
-    def __init__(self, setup, tiers):
-        self.states = setup.states
-        self.consequences = setup.consequences
-        self.ns, self.nc = len(self.states), len(self.consequences)
-        self.tiers = tiers
+    def __init__(self, prefs, tiers):
+        setup = prefs.setup
+        self.ns, self.nc = len(setup.states), len(setup.consequences)
         tier_of = {act: k for k, tier in enumerate(tiers) for act in tier}
-        self.cons_class = {c: tier_of[Act.constant(setup, c)] for c in self.consequences}
+        self.cons_class = {c: tier_of[Act.constant(setup, c)] for c in setup.consequences}
         self.class_levels = sorted(set(self.cons_class.values()))
         self.class_members = [
-            [k for k, c in enumerate(self.consequences) if self.cons_class[c] == lev]
+            [k for k, c in enumerate(setup.consequences) if self.cons_class[c] == lev]
             for lev in self.class_levels
         ]
         self.top = self.class_members[0]
         self.bottom = self.class_members[-1]
-        self.strict_pairs = [
-            (tiers[k][0], tiers[k + 1][0]) for k in range(len(tiers) - 1)
-        ]
-        self.S = np.stack(
-            [_pair_matrix(a, b, self.states, self.consequences) for a, b in self.strict_pairs]
-        )
-        self.tie_pairs = []
-        ties = []
-        for tier in tiers:
-            for other in tier[1:]:
-                self.tie_pairs.append((tier[0], other))
-                ties.append(_pair_matrix(tier[0], other, self.states, self.consequences))
-        self.T = np.stack(ties) if ties else np.zeros((0, self.ns, self.nc))
+        self.strict_pairs = [(upper[0], lower[0]) for upper, lower in zip(tiers, tiers[1:])]
+        self.tie_pairs = [(tier[0], other) for tier in tiers for other in tier[1:]]
+        onehot = np.eye(self.nc)[prefs.matrix]
+
+        def difference(pairs):
+            index = [[prefs.index_of(act) for act in pair] for pair in pairs]
+            first, second = np.array(index, dtype=np.intp).reshape(-1, 2).T
+            return onehot[first] - onehot[second]
+
+        self.S = difference(self.strict_pairs)
+        self.T = difference(self.tie_pairs)
 
     def probability_lp(self, u):
         """Maximize the minimum strict gap over p with u fixed."""
@@ -668,15 +662,12 @@ def extract_representation(prefs: PreferenceRelation) -> Representation | Infeas
     max-margin center of its feasible region.  If the best candidate still
     misorders some pair, that pair is returned as an infeasibility witness.
     """
-    violations = check_axioms(prefs)
-    if violations:
-        raise AxiomError(violations)
+    tiers = prefs.tiers()  # raises AxiomError on inconsistent input
     setup = prefs.setup
     for c in setup.consequences:
         if not prefs.contains(Act.constant(setup, c)):
             raise ValueError(f"extraction needs the constant act for {c!r} to be listed")
 
-    tiers = prefs.tiers()
     states, consequences = setup.states, setup.consequences
     ns = len(states)
 
@@ -686,7 +677,7 @@ def extract_representation(prefs: PreferenceRelation) -> Representation | Infeas
             utility={c: 0.0 for c in consequences},
         )
 
-    extractor = _Extractor(setup, tiers)
+    extractor = _Extractor(prefs, tiers)
     if len(extractor.class_levels) == 1:
         # Every consequence is equally good, yet some acts are strictly
         # ranked: no utility assignment can separate them.
@@ -761,8 +752,16 @@ def representation_roundtrip_sweep(
 
     Instances are resampled until every act has a distinct exact EU, so the
     generated ordering is strict.  Success means the extracted representation
-    reproduces the full ordering under brute-force pairwise comparison.
+    reproduces the full ordering under brute-force pairwise comparison.  A
+    count below 1, a size cap below 2, or a drawn act space over all_acts'
+    cap raises ValueError.
     """
+    if count < 1:
+        raise ValueError(f"round-trip count must be at least 1, got {count}")
+    if min(max_states, max_consequences) < 2:
+        raise ValueError(
+            f"round trips need caps of at least 2, got {max_states} and {max_consequences}"
+        )
     rng = random.Random(seed)
     results = []
     for trial in range(count):
@@ -791,23 +790,11 @@ def representation_roundtrip_sweep(
 
 def orderings_match(prefs: PreferenceRelation, rep: Representation) -> bool:
     """Brute-force check that rep's EU comparisons agree with prefs on all pairs."""
-    eus = [float(expected_utility(act, rep)) for act in prefs.acts]
+    eus = np.array([float(expected_utility(act, rep)) for act in prefs.acts])
     weak = prefs.weak
-    n = len(prefs.acts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            i_over_j = (i, j) in weak
-            j_over_i = (j, i) in weak
-            if i_over_j and j_over_i:
-                if abs(eus[i] - eus[j]) > TIE_TOL:
-                    return False
-            elif i_over_j:
-                if not eus[i] > eus[j]:
-                    return False
-            elif j_over_i:
-                if not eus[j] > eus[i]:
-                    return False
-    return True
+    tie = weak & weak.T & ~np.eye(len(eus), dtype=bool)
+    broken_tie = (np.abs(eus[:, None] - eus[None, :]) > TIE_TOL)[tie].any()
+    return bool(not broken_tie and (eus[:, None] > eus[None, :])[weak & ~weak.T].all())
 
 
 # -- JSON wire format -----------------------------------------------------------
@@ -826,14 +813,19 @@ def preferences_to_json_dict(prefs: PreferenceRelation) -> dict:
 
 
 def preferences_from_json_dict(doc) -> PreferenceRelation:
-    """Accepts either {"setup": ..., "tiers": ...} or a bare tier list."""
+    """Accepts either {"setup": ..., "tiers": ...} or a bare tier list.
+
+    Each tier must be a list of acts, each act an object mapping states to
+    consequences; acts may name only the listed consequences.
+    """
+    tiers_raw = doc if isinstance(doc, list) else doc["tiers"]
+    if not all(isinstance(t, list) and all(isinstance(a, dict) for a in t) for t in tiers_raw):
+        raise ValueError("each tier must be a list of acts, each an object of state: consequence")
     if isinstance(doc, list):
-        tiers_raw = doc
         states = sorted({s for tier in doc for act in tier for s in act})
         consequences = sorted({c for tier in doc for act in tier for c in act.values()})
         setup = Setup(kind="fission", states=tuple(states), consequences=tuple(consequences))
     else:
-        tiers_raw = doc["tiers"]
         setup = Setup(
             kind=doc["setup"].get("kind", "fission"),
             states=tuple(doc["setup"]["states"]),

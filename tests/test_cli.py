@@ -110,6 +110,11 @@ class TestBadInputExitsTwo:
             [*CONFIRM_RUN, "--threshold", "inf"],
             [*CONFIRM_RUN, "--require-mass", "nan"],
             [*CONFIRM_RUN, "--require-mass", "-inf"],
+            ["extract", "--roundtrip-sweep", "0"],
+            ["extract", "--roundtrip-sweep", "-1"],
+            ["extract", "--roundtrip-sweep", "1", "--max-states", "1"],
+            ["extract", "--roundtrip-sweep", "1", "--max-consequences", "1"],
+            ["extract", "--roundtrip-sweep", "1", "--max-states", "9", "--max-consequences", "9", "--seed", "3"],
         ],
     )
     def test_bad_count_or_quotient(self, runner, argv):
@@ -132,6 +137,25 @@ class TestBadInputExitsTwo:
             with open("game.json", "w") as fh:
                 json.dump(doc, fh)
             result = runner.invoke(main, ["game", "eval", "--game", "game.json", "--realization", realization])
+        self._assert_usage_error(result)
+
+
+    @pytest.mark.parametrize(
+        "tiers",
+        [
+            [[{"s1": "c2", "s2": "c2"}], [{"s1": "c9", "s2": "c1"}], [{"s1": "c1", "s2": "c1"}]],
+            [[{"s1": "c2", "s2": "c2"}], [{"s1": 3, "s2": "c1"}], [{"s1": "c1", "s2": "c1"}]],
+            [[{"s1": "c1", "s2": "c1"}], {"s1": "c2", "s2": "c2"}],
+            [[{"s1": "c1", "s2": "c1"}], ["c2"]],
+        ],
+        ids=["unlisted-consequence", "numeric-consequence", "tier-not-a-list", "act-not-an-object"],
+    )
+    def test_bad_preference_file(self, runner, tiers):
+        doc = {"setup": {"states": ["s1", "s2"], "consequences": ["c1", "c2"]}, "tiers": tiers}
+        with runner.isolated_filesystem():
+            with open("prefs.json", "w") as fh:
+                json.dump(doc, fh)
+            result = runner.invoke(main, ["extract", "--prefs", "prefs.json"])
         self._assert_usage_error(result)
 
 

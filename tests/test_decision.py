@@ -3,7 +3,9 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchlab import (
     Act,
@@ -21,11 +23,19 @@ from branchlab import (
     generate_preferences,
     qualitative_probability,
 )
+from branchlab import decision
 from branchlab.decision import (
+    _Extractor,
     orderings_match,
     preferences_from_json_dict,
     preferences_to_json_dict,
     representation_roundtrip_sweep,
+)
+from decision_reference import (
+    reference_check_axioms,
+    reference_pair_matrix,
+    reference_ranks,
+    reference_tiers,
 )
 
 TWO = Setup("fission", ("s1", "s2"), ("c1", "c2"))
@@ -107,6 +117,73 @@ class TestCheckAxioms:
         acts = [Act.constant(TWO, "c1"), Act.constant(TWO, "c2")]
         with pytest.raises(ValueError, match="total"):
             PreferenceRelation(TWO, tuple(acts), frozenset())
+
+    def test_unlisted_consequence_rejected(self):
+        acts = [Act.constant(TWO, "c1"), Act.from_mapping({"s1": "c1", "s2": "c9"})]
+        with pytest.raises(ValueError, match="does not list"):
+            PreferenceRelation.from_tiers(TWO, [acts])
+
+
+@st.composite
+def relations(draw):
+    """Small relations over a random act subset: consistent tier lists, or
+    arbitrary total relations given as index pairs (cycles included)."""
+    ns, nc = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    setup = Setup("fission", tuple(f"s{i}" for i in range(ns)), tuple(f"c{i}" for i in range(nc)))
+    universe = all_acts(setup)
+    keep = draw(st.lists(st.booleans(), min_size=len(universe), max_size=len(universe)))
+    acts = draw(st.permutations([a for a, k in zip(universe, keep) if k]))
+    n = len(acts)
+    if draw(st.booleans()):
+        levels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        tiers = [[a for a, lev in zip(acts, levels) if lev == k] for k in range(4)]
+        return PreferenceRelation.from_tiers(setup, [t for t in tiers if t])
+    pairs = set()
+    for i, j in itertools.combinations(range(n), 2):
+        way = draw(st.sampled_from(("forward", "backward", "both")))
+        if way != "backward":
+            pairs.add((i, j))
+        if way != "forward":
+            pairs.add((j, i))
+    return PreferenceRelation(setup, tuple(acts), frozenset(pairs))
+
+
+class TestMatrixEncodingMatchesPairSets:
+    @settings(max_examples=300, deadline=None)
+    @given(relations())
+    def test_against_pair_set_reference(self, prefs):
+        assert check_axioms(prefs) == reference_check_axioms(prefs)
+        assert prefs.ranks() == reference_ranks(prefs)
+        try:
+            expected = reference_tiers(prefs)
+        except AxiomError as exc:
+            with pytest.raises(AxiomError) as got:
+                prefs.tiers()
+            assert got.value.violations == exc.violations
+            return
+        tiers = prefs.tiers()
+        assert tiers == expected
+        setup = prefs.setup
+        if len(tiers) < 2 or not all(prefs.contains(Act.constant(setup, c)) for c in setup.consequences):
+            return
+        extractor = _Extractor(prefs, tiers)
+        shape = (0, len(setup.states), len(setup.consequences))
+        for got, pairs in ((extractor.S, extractor.strict_pairs), (extractor.T, extractor.tie_pairs)):
+            want = [reference_pair_matrix(a, b, setup.states, setup.consequences) for a, b in pairs]
+            assert np.array_equal(got, np.stack(want) if want else np.zeros(shape))
+
+    def test_extraction_checks_axioms_once(self, monkeypatch):
+        calls = []
+        original = decision.check_axioms
+
+        def counted(prefs):
+            calls.append(prefs)
+            return original(prefs)
+
+        monkeypatch.setattr(decision, "check_axioms", counted)
+        r = rep({"s1": Fraction(1, 3), "s2": Fraction(2, 3)}, {"c1": 0, "c2": 1})
+        assert isinstance(extract_representation(generate_preferences(TWO, r)), Representation)
+        assert len(calls) == 1
 
 
 class TestQualitativeProbability:
@@ -244,6 +321,15 @@ class TestPreferenceJson:
         prefs = preferences_from_json_dict(doc)
         assert prefs.setup.states == ("s1", "s2")
         assert len(prefs.acts) == 4
+
+    @pytest.mark.parametrize(
+        "tiers",
+        [[[{"s1": "c1", "s2": "c1"}], {"s1": "c2", "s2": "c2"}], [[{"s1": "c1", "s2": "c1"}], ["c2"]]],
+        ids=["tier-not-a-list", "act-not-an-object"],
+    )
+    def test_malformed_tiers_rejected(self, tiers):
+        with pytest.raises(ValueError):
+            preferences_from_json_dict(tiers)
 
     def test_enumeration_caps(self):
         big = Setup("chance", tuple(f"s{i}" for i in range(13)), ("c",))
