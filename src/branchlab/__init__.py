@@ -44,22 +44,6 @@ from .strategies import (
     parse_strategy,
     value_game,
 )
-from .decision import (
-    Act,
-    AxiomError,
-    Comparison,
-    Infeasible,
-    PreferenceRelation,
-    Representation,
-    Setup,
-    all_acts,
-    all_events,
-    check_axioms,
-    expected_utility,
-    extract_representation,
-    generate_preferences,
-    qualitative_probability,
-)
 from .verifier import (
     StageReport,
     egalitarian_incoherence_demo,
@@ -87,3 +71,30 @@ from .confirmation import (
 )
 
 __version__ = "0.1.0"
+
+# branchlab.decision imports numpy, most of the package's import time, so
+# its names are loaded on first use (PEP 562).
+_DECISION = frozenset({
+    "Act",
+    "AxiomError",
+    "Comparison",
+    "Infeasible",
+    "PreferenceRelation",
+    "Representation",
+    "Setup",
+    "all_acts",
+    "all_events",
+    "check_axioms",
+    "expected_utility",
+    "extract_representation",
+    "generate_preferences",
+    "qualitative_probability",
+})
+
+
+def __getattr__(name: str):
+    if name in _DECISION:
+        from . import decision
+
+        return getattr(decision, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

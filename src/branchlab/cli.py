@@ -24,14 +24,6 @@ from .confirmation import (
     confirmation_experiment,
     evaluate_book_on_branches,
 )
-from .decision import (
-    AxiomError,
-    Infeasible,
-    extract_representation,
-    preferences_from_json,
-    representation_roundtrip_sweep,
-    representation_to_json_dict,
-)
 from .games import (
     game_from_json,
     parse_realization,
@@ -425,6 +417,16 @@ def confirm_run(
 @click.option("--out", default=None)
 def extract(prefs_path, roundtrip_sweep, seed, max_states, max_consequences, fmt, out) -> None:
     """Extract a probability and utility from a preference file."""
+    # Imported here: decision loads numpy, which no other subcommand needs.
+    from .decision import (
+        AxiomError,
+        Infeasible,
+        extract_representation,
+        preferences_from_json,
+        representation_roundtrip_sweep,
+        representation_to_json_dict,
+    )
+
     if roundtrip_sweep is not None:
         try:
             results = representation_roundtrip_sweep(

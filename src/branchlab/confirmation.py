@@ -279,8 +279,50 @@ def case_tree(p_evidence: Number, p_conditional: Number) -> tuple[BranchTree, di
 # -- Repeated-trial confirmation experiment --------------------------------------
 
 
+class Credences(Mapping):
+    """A row's credences in theory order, built from its class weights on read.
+
+    On exact input the weights are ints and the credence in theory t is
+    Fraction(w_t, total), reduced only when it is read; otherwise it is
+    w_t / total.  floats holds every w_t / total as a float, in theory order:
+    on ints that is correctly rounded int division, equal to floating the
+    Fraction.
+    """
+
+    __slots__ = ("_index", "_weights", "_total", "floats")
+
+    def __init__(
+        self, index: Mapping[str, int], weights: Sequence[Number], total: Number, floats: tuple[float, ...]
+    ) -> None:
+        self._index, self._weights, self._total, self.floats = index, weights, total, floats
+
+    def __getitem__(self, theory: str) -> Number:
+        w = self._weights[self._index[theory]]
+        return Fraction(w, self._total) if isinstance(self._total, int) else w / self._total
+
+    def as_float(self, theory: str) -> float:
+        """float(self[theory]), without building the Fraction."""
+        return self.floats[self._index[theory]]
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass(frozen=True)
 class TrajectoryRow:
+    """One class of branches at an iteration: its caring mass and credences.
+
+    Rows of confirmation_experiment hold a Credences mapping over their
+    class's weights (ints on exact input), so a credence is built as a
+    Fraction only when it is read; any other mapping works as well.
+    """
+
     iteration: int
     outcome_class: tuple[tuple[float, int], ...]
     caring_mass: Number
@@ -302,7 +344,8 @@ class TrajectoryReport:
         the threshold."""
         mass: Number = Fraction(0)
         for row in self.rows_at(self.trials):
-            if float(row.credences[theory]) > threshold:
+            c = row.credences
+            if (c.as_float(theory) if isinstance(c, Credences) else float(c[theory])) > threshold:
                 mass = mass + row.caring_mass
         return mass
 
@@ -314,10 +357,10 @@ class TrajectoryReport:
         return total
 
 
-def _integers(values: Sequence[int | Fraction]) -> tuple[int, ...]:
-    """The values times the lcm of their denominators: a positive common factor."""
+def _integers(values: Sequence[int | Fraction]) -> tuple[tuple[int, ...], int]:
+    """The values times the lcm of their denominators, and that lcm."""
     scale = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (scale // v.denominator) for v in values)
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
 
 
 def _grow(classes: dict, step: Sequence[tuple[int, Number, tuple | None]]) -> dict:
@@ -327,7 +370,8 @@ def _grow(classes: dict, step: Sequence[tuple[int, Number, tuple | None]]) -> di
     fixed by its counts, so classes that reach the same counts merge.  A
     class freezes on an outcome that some theory gives no likelihood
     (likelihoods None) or whose probability is zero, and keeps the weights it
-    froze with.
+    froze with.  Masses are ints on exact caring measures (each step's
+    scaled by a common factor) and are multiplied and summed as given.
     """
     grown: dict = {}
     for (counts, frozen_at), (mass, weights) in classes.items():
@@ -350,28 +394,38 @@ def _grow(classes: dict, step: Sequence[tuple[int, Number, tuple | None]]) -> di
 
 
 def _rows(
-    iteration: int, classes: dict, outcomes: Sequence[float], theories: Sequence[str]
+    iteration: int,
+    classes: dict,
+    outcomes: Sequence[float],
+    theories: Sequence[str],
+    scale: int | None,
 ) -> list[TrajectoryRow]:
     """Rows merged by (outcome class, credences, frozen) and sorted by that key.
 
-    On exact input the class weights are ints: the key floats w / total by
-    correctly rounded int division, and a row's credence is the one reduction
-    Fraction(w, total).  Other weights are divided as they are.
+    The key floats every w / total (on ints, correctly rounded int
+    division); a row keeps the first merged class's weights as its lazy
+    Credences.  Int masses (scale not None) sum as ints and become one
+    Fraction(mass, scale) per row; other masses are summed as they are.
     """
-    merged: dict[tuple, TrajectoryRow] = {}
+    index = {t: k for k, t in enumerate(theories)}
+    # The key lists the floats in theory-name order, so rows with the same
+    # outcome class sort by their credences theory by theory, by name.
+    by_name = sorted(range(len(theories)), key=theories.__getitem__)
+    merged: dict[tuple, list] = {}
     for (counts, frozen_at), (mass, weights) in classes.items():
         total = sum(weights)
-        outcome_class = tuple(zip(outcomes, counts))
-        frozen = frozen_at is not None
-        floats = tuple(sorted((t, float(w / total)) for t, w in zip(theories, weights)))
-        key = (outcome_class, floats, frozen)
+        floats = tuple([float(w / total) for w in weights])
+        key = (tuple(zip(outcomes, counts)), tuple([floats[k] for k in by_name]), frozen_at is not None)
         if key in merged:
-            merged[key] = replace(merged[key], caring_mass=merged[key].caring_mass + mass)
+            merged[key][0] += mass
         else:
-            exact = isinstance(total, int)
-            credences = {t: Fraction(w, total) if exact else w / total for t, w in zip(theories, weights)}
-            merged[key] = TrajectoryRow(iteration, outcome_class, mass, credences, frozen)
-    return [merged[key] for key in sorted(merged)]
+            merged[key] = [mass, Credences(index, weights, total, floats)]
+    rows = []
+    for key in sorted(merged):
+        mass, credences = merged[key]
+        caring = mass if scale is None else Fraction(mass, scale)
+        rows.append(TrajectoryRow(iteration, key[0], caring, credences, key[2]))
+    return rows
 
 
 def confirmation_experiment(
@@ -398,7 +452,15 @@ def confirmation_experiment(
     int or Fraction) the priors are scaled by the lcm of their denominators
     and each outcome's likelihood row by the lcm of that row's, so every
     weight is an int: the positive factors cancel in each credence and leave
-    every zero test alone.  Float input is used as given.
+    every zero test alone.  Likewise, when every caring mass is an int or
+    Fraction, each game's masses are scaled by the lcm of their
+    denominators, so class masses are ints over the running product of
+    those scales.  Float input is used as given, in the same order.
+
+    Rows keep what the recursion computed.  On exact input a row's caring
+    mass is one Fraction(mass, scale), and its credences are a Credences
+    mapping over the class's int weights that builds each Fraction only when
+    it is read; the floats the rows are merged on are kept for printing.
     """
     if isinstance(strategy, TablePreference):
         raise ValueError("a table preference has no caring measure to weigh branches with")
@@ -425,13 +487,22 @@ def confirmation_experiment(
     }
     values = [*priors, *(v for table in tables for v in table.values())]
     if all(isinstance(v, (int, Fraction)) for v in values):
-        priors = _integers(priors)
-        likelihoods = {x: None if row is None else _integers(row) for x, row in likelihoods.items()}
+        priors = _integers(priors)[0]
+        likelihoods = {x: None if row is None else _integers(row)[0] for x, row in likelihoods.items()}
 
-    steps = [[(axis[x], m, likelihoods[x]) for x, m in sorted(masses.items())] for masses in step_masses]
-    classes = {((0,) * len(outcomes), None): [Fraction(1), priors]}
+    exact_masses = all(isinstance(m, (int, Fraction)) for masses in step_masses for m in masses.values())
+    steps = []
+    for masses in step_masses:
+        xs = sorted(masses)
+        ms = [masses[x] for x in xs]
+        ms, scale = _integers(ms) if exact_masses else (ms, 1)
+        steps.append(([(axis[x], m, likelihoods[x]) for x, m in zip(xs, ms)], scale))
+    classes = {((0,) * len(outcomes), None): [1 if exact_masses else Fraction(1), priors]}
     rows = [TrajectoryRow(0, (), Fraction(1), dict(cred.priors))]
+    scale = 1
     for it in range(1, trials + 1):
-        classes = _grow(classes, steps[(it - 1) % len(steps)])
-        rows.extend(_rows(it, classes, outcomes, theories))
+        step, step_scale = steps[(it - 1) % len(steps)]
+        classes = _grow(classes, step)
+        scale *= step_scale
+        rows.extend(_rows(it, classes, outcomes, theories, scale if exact_masses else None))
     return TrajectoryReport(rows=tuple(rows), theories=theories, trials=trials)

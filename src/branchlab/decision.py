@@ -230,10 +230,13 @@ class PreferenceRelation:
         return [sorted(buckets[r], key=lambda a: a.assignment) for r in sorted(buckets)]
 
 
+MAX_ACTS = 100_000
+
+
 def all_acts(setup: Setup) -> tuple[Act, ...]:
     """Every function from states to consequences, in deterministic order."""
     count = len(setup.consequences) ** len(setup.states)
-    if count > 100_000:
+    if count > MAX_ACTS:
         raise ValueError(f"act space too large to enumerate ({count})")
     acts = []
     for combo in itertools.product(setup.consequences, repeat=len(setup.states)):
@@ -270,18 +273,19 @@ def generate_preferences(
     setup: Setup,
     rep: Representation,
     acts: Sequence[Act] | None = None,
+    eus: Sequence[Number] | None = None,
 ) -> PreferenceRelation:
     """The ordering induced by expected utility, as a tier list.
 
     This is the forward direction used as an independent oracle for the
     extraction round trip: EUs are computed for every act and sorted, with
-    ties grouped at TIE_TOL.
+    ties grouped at TIE_TOL.  A caller that already holds the acts' EUs
+    under rep passes them as eus, in act order, and none is computed again.
     """
     acts = tuple(acts) if acts is not None else all_acts(setup)
-    scored = sorted(
-        ((expected_utility(act, rep), act) for act in acts),
-        key=lambda pair: (-float(pair[0]), pair[1].assignment),
-    )
+    if eus is None:
+        eus = [expected_utility(act, rep) for act in acts]
+    scored = sorted(zip(eus, acts), key=lambda pair: (-float(pair[0]), pair[1].assignment))
     tiers: list[list[Act]] = []
     last_eu: Number | None = None
     for eu, act in scored:
@@ -753,14 +757,20 @@ def representation_roundtrip_sweep(
     Instances are resampled until every act has a distinct exact EU, so the
     generated ordering is strict.  Success means the extracted representation
     reproduces the full ordering under brute-force pairwise comparison.  A
-    count below 1, a size cap below 2, or a drawn act space over all_acts'
-    cap raises ValueError.
+    count below 1, a size cap below 2, or caps that allow more acts than
+    MAX_ACTS raise ValueError before anything is drawn.
     """
     if count < 1:
         raise ValueError(f"round-trip count must be at least 1, got {count}")
     if min(max_states, max_consequences) < 2:
         raise ValueError(
             f"round trips need caps of at least 2, got {max_states} and {max_consequences}"
+        )
+    # With 2 or more consequences, MAX_ACTS.bit_length() states are already
+    # over the cap, so the power is only taken on small exponents.
+    if max_states >= MAX_ACTS.bit_length() or max_consequences ** max_states > MAX_ACTS:
+        raise ValueError(
+            f"caps allow {max_consequences}^{max_states} acts, over the {MAX_ACTS} all_acts enumerates"
         )
     rng = random.Random(seed)
     results = []
@@ -773,7 +783,7 @@ def representation_roundtrip_sweep(
             eus = [expected_utility(a, rep) for a in acts]
             if len(set(eus)) == len(eus):
                 break
-        prefs = generate_preferences(setup, rep)
+        prefs = generate_preferences(setup, rep, acts, eus)
         extracted = extract_representation(prefs)
         ok = isinstance(extracted, Representation) and orderings_match(prefs, extracted)
         results.append(

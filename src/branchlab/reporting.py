@@ -67,8 +67,16 @@ def _cell(value) -> str:
     return str(value)
 
 
+class _Labels(dict):
+    """Outcome -> its formatted label, each formatted once."""
+
+    def __missing__(self, x) -> str:
+        label = self[x] = fmt_float(x)
+        return label
+
+
 def _as_rows(report) -> tuple[list[str], list[Mapping]]:
-    from .confirmation import TrajectoryReport
+    from .confirmation import Credences, TrajectoryReport
     from .verifier import StageReport
 
     if isinstance(report, StageReport):
@@ -80,20 +88,22 @@ def _as_rows(report) -> tuple[list[str], list[Mapping]]:
                     fields.append(key)
         return fields, rows
     if isinstance(report, TrajectoryReport):
-        fields = ["iteration", "outcome_class", "caring_mass"]
-        fields += [f"credence_{t}" for t in report.theories]
+        # A Fraction mass floats by one int division, and the rows of
+        # confirmation_experiment carry their credences' floats already.
+        credence_fields = [f"credence_{t}" for t in report.theories]
+        fields = ["iteration", "outcome_class", "caring_mass", *credence_fields]
+        labels = _Labels()
         rows = []
         for row in report.rows:
-            outcome_class = ";".join(
-                f"{fmt_float(x)}:{count}" for x, count in row.outcome_class
-            )
+            mass = row.caring_mass
             record = {
                 "iteration": row.iteration,
-                "outcome_class": outcome_class,
-                "caring_mass": row.caring_mass,
+                "outcome_class": ";".join([f"{labels[x]}:{count}" for x, count in row.outcome_class]),
+                "caring_mass": mass.numerator / mass.denominator if isinstance(mass, Fraction) else mass,
             }
-            for t in report.theories:
-                record[f"credence_{t}"] = row.credences[t]
+            c = row.credences
+            credences = c.floats if isinstance(c, Credences) else [c[t] for t in report.theories]
+            record.update(zip(credence_fields, credences))
             rows.append(record)
         return fields, rows
     if isinstance(report, Sequence) and not isinstance(report, (str, bytes)):

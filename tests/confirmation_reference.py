@@ -12,6 +12,10 @@ depths only.
 weights became integers: weights are the unscaled prior x likelihood
 products, summed from ``Fraction(0)`` and divided term by term.  On float
 input the integer version must reproduce it bit for bit.
+
+``reference_emit`` renders a trajectory as ``reporting.emit`` did before rows
+carried their own floats: every credence is read from the row's mapping and
+every number, ``Fraction`` or float, goes through ``fmt_float``.
 """
 
 from dataclasses import replace
@@ -19,6 +23,7 @@ from fractions import Fraction
 
 from branchlab import Direct, QuantumGame, branch, caring_measure, conditionalize
 from branchlab.confirmation import TrajectoryReport, TrajectoryRow
+from branchlab.reporting import dumps_stable, fmt_float, rows_to_csv, rows_to_table
 
 
 def reference_experiment(cred, games, strategy, trials) -> TrajectoryReport:
@@ -112,3 +117,23 @@ def fraction_weight_experiment(cred, games, strategy, trials) -> TrajectoryRepor
         classes = _grow(classes, steps[(it - 1) % len(steps)])
         rows.extend(_rows(it, classes, outcomes, theories))
     return TrajectoryReport(rows=tuple(rows), theories=theories, trials=trials)
+
+
+def reference_emit(report: TrajectoryReport, fmt: str) -> bytes:
+    fields = ["iteration", "outcome_class", "caring_mass"]
+    fields += [f"credence_{t}" for t in report.theories]
+    rows = []
+    for row in report.rows:
+        record = {
+            "iteration": row.iteration,
+            "outcome_class": ";".join(f"{fmt_float(x)}:{count}" for x, count in row.outcome_class),
+            "caring_mass": row.caring_mass,
+        }
+        for t in report.theories:
+            record[f"credence_{t}"] = row.credences[t]
+        rows.append(record)
+    if fmt == "json":
+        return dumps_stable([{f: r.get(f, "") for f in fields} for r in rows]).encode()
+    if fmt == "csv":
+        return rows_to_csv(fields, rows).encode()
+    return rows_to_table(fields, rows).encode()

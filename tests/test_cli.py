@@ -191,6 +191,24 @@ class TestInProcess:
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
 
+    def test_cli_import_dutchbook_and_confirm_run_leave_numpy_unloaded(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "import branchlab.cli\n"
+            "assert 'numpy' not in sys.modules, 'import branchlab.cli loaded numpy'\n"
+            f"for argv in (['dutchbook'], {CONFIRM_RUN!r}):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        try:\n"
+            "            branchlab.cli.main(argv, prog_name='branchlab')\n"
+            "        except SystemExit as exc:\n"
+            "            assert exc.code == 0, (argv, exc.code)\n"
+            "    assert 'numpy' not in sys.modules, f'{argv[0]} loaded numpy'\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, runner):

@@ -27,7 +27,8 @@ from branchlab import (
 )
 from branchlab import confirmation
 from branchlab.confirmation import settle_bet
-from confirmation_reference import fraction_weight_experiment, reference_experiment
+from branchlab.reporting import emit
+from confirmation_reference import fraction_weight_experiment, reference_emit, reference_experiment
 
 
 def worked_credences():
@@ -379,3 +380,75 @@ def float_credence_states(draw):
 def test_float_input_rows_bit_identical_to_fraction_weights(cred, games, strategy, trials):
     report = confirmation_experiment(cred, games, strategy, trials)
     assert _bits(report) == _bits(fraction_weight_experiment(cred, games, strategy, trials))
+
+
+@st.composite
+def renamed_credence_states(draw):
+    """Exact, float or mixed credence states whose theory order is not name order;
+    some have int priors, 1 on the first theory and 0 elsewhere."""
+    cred = draw(st.one_of(credence_states(), float_credence_states()))
+    names = dict(zip(cred.theories(), draw(st.permutations(["mid", "zeta", "alpha"]))))
+    priors = cred.priors
+    if draw(st.integers(0, 4)) == 0:
+        priors = {t: int(k == 0) for k, t in enumerate(priors)}
+    return CredenceState(
+        priors={names[t]: p for t, p in priors.items()},
+        likelihoods={names[t]: table for t, table in cred.likelihoods.items()},
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cred=renamed_credence_states(),
+    games=st.lists(cycled_games(floats=True), min_size=1, max_size=3),
+    strategy=st.sampled_from([Born(), Egalitarian(1e-6), SquaredWeightRenormalized()]),
+    trials=st.integers(0, 8),
+)
+def test_emit_matches_formatting_every_number_through_fmt_float(cred, games, strategy, trials):
+    report = confirmation_experiment(cred, games, strategy, trials)
+    for fmt in ("csv", "json", "table"):
+        assert emit(report, fmt) == reference_emit(report, fmt)
+
+
+@pytest.mark.parametrize("strategy", [Born(), Egalitarian(1e-6)], ids=["born", "egalitarian"])
+def test_exact_class_masses_are_ints(monkeypatch, strategy):
+    seen = []
+    grow = confirmation._grow
+
+    def recording_grow(classes, step):
+        grown = grow(classes, step)
+        seen.extend(m for _, m, _ in step)
+        for state in (classes, grown):
+            for mass, weights in state.values():
+                seen.extend((mass, *weights))
+        return grown
+
+    monkeypatch.setattr(confirmation, "_grow", recording_grow)
+    cred = two_theory_credences()
+    cycle = [(THIRD_GAME, Direct()), (THIRD_GAME, AncillaCoupled(1, 3))]
+    report = confirmation_experiment(cred, cycle, strategy, trials=6)
+    assert seen and all(type(v) is int for v in seen)
+    assert report.rows == reference_experiment(cred, cycle, strategy, trials=6).rows
+
+
+@pytest.mark.parametrize("strategy", [Born(), Egalitarian(1e-6)], ids=["born", "egalitarian"])
+def test_credences_read_back_as_fractions(strategy):
+    cred = CredenceState(
+        priors={"a": Fraction(1, 2), "b": Fraction(1, 3), "c": Fraction(1, 6)},
+        likelihoods={
+            "a": {1.0: Fraction(1, 3), 2.0: Fraction(2, 3)},
+            "b": {1.0: Fraction(0), 2.0: Fraction(1)},
+            "c": {2.0: Fraction(1, 2)},
+        },
+    )
+    report = confirmation_experiment(cred, THIRD_GAME, strategy, trials=5)
+    reference = reference_experiment(cred, THIRD_GAME, strategy, trials=5)
+    assert len(report.rows) == len(reference.rows)
+    for row, want in zip(report.rows, reference.rows):
+        assert type(row.caring_mass) is Fraction and row.caring_mass == want.caring_mass
+        assert list(row.credences) == list(want.credences) == ["a", "b", "c"]
+        for t in want.credences:
+            assert type(row.credences[t]) is Fraction and row.credences[t] == want.credences[t]
+        assert dict(row.credences) == want.credences and row.credences == want.credences
+    with pytest.raises(TypeError):
+        report.rows[-1].credences["a"] = Fraction(1)

@@ -301,6 +301,37 @@ class TestExtraction:
         results = representation_roundtrip_sweep(12, seed=42)
         assert all(r["ok"] for r in results)
 
+    def test_sweep_computes_each_drawn_eu_once(self, monkeypatch):
+        drawn, seen = [], []
+        draw, original = decision.random_representation, decision.expected_utility
+
+        def recorded_draw(*args):
+            setup, r = draw(*args)
+            drawn.append(r)  # keeps every id below alive and distinct
+            return setup, r
+
+        def recorded(act, r):
+            seen.append((act.assignment, id(r)))
+            return original(act, r)
+
+        monkeypatch.setattr(decision, "random_representation", recorded_draw)
+        monkeypatch.setattr(decision, "expected_utility", recorded)
+        assert all(r["ok"] for r in representation_roundtrip_sweep(4, seed=0))
+        ids = {id(r) for r in drawn}
+        calls = [call for call in seen if call[1] in ids]
+        assert calls and len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5])
+    def test_sweep_refuses_over_cap_sizes_before_drawing(self, monkeypatch, seed):
+        def no_draws(*args):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(decision, "random_representation", no_draws)
+        with pytest.raises(ValueError, match="acts, over the 100000"):
+            representation_roundtrip_sweep(1, seed=seed, max_states=9, max_consequences=9)
+        with pytest.raises(ValueError, match="acts, over the 100000"):
+            representation_roundtrip_sweep(1, seed=seed, max_states=10**9, max_consequences=2)
+
 
 class TestPreferenceJson:
     def test_round_trip(self):
