@@ -83,6 +83,12 @@ def _load_json(path: str):
         raise click.UsageError(f"cannot read {path}: {exc}")
 
 
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise TypeError(f"{what} must be an object, got {type(doc).__name__}")
+    return doc
+
+
 def _strategy(spec: str):
     try:
         return parse_strategy(spec)
@@ -370,10 +376,10 @@ def confirm_run(
     games_doc = _load_json(games_path)
     try:
         cred = CredenceState(
-            priors={t: Fraction(str(p)) for t, p in theories_doc["priors"].items()},
+            priors={t: Fraction(str(p)) for t, p in _object(theories_doc["priors"], "priors").items()},
             likelihoods={
-                t: {float(k): Fraction(str(v)) for k, v in table.items()}
-                for t, table in theories_doc["likelihoods"].items()
+                t: {float(k): Fraction(str(v)) for k, v in _object(table, f"likelihoods of {t!r}").items()}
+                for t, table in _object(theories_doc["likelihoods"], "likelihoods").items()
             },
         )
         games = [
@@ -449,6 +455,8 @@ def extract(prefs_path, roundtrip_sweep, seed, max_states, max_consequences, fmt
     except AxiomError as exc:
         _write(dumps_stable({"error": "axiom violation", "detail": str(exc)}).encode(), out)
         raise SystemExit(1)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     if isinstance(result, Infeasible):
         _write(
             dumps_stable(

@@ -829,6 +829,10 @@ def preferences_from_json_dict(doc) -> PreferenceRelation:
     consequences; acts may name only the listed consequences.
     """
     tiers_raw = doc if isinstance(doc, list) else doc["tiers"]
+    if not isinstance(doc, list) and not isinstance(doc["setup"], dict):
+        raise ValueError("setup must be an object of kind, states and consequences")
+    if not isinstance(tiers_raw, list):
+        raise ValueError("tiers must be a list of tiers, best first")
     if not all(isinstance(t, list) and all(isinstance(a, dict) for a in t) for t in tiers_raw):
         raise ValueError("each tier must be a list of acts, each an object of state: consequence")
     if isinstance(doc, list):

@@ -338,17 +338,17 @@ def game_to_json_dict(game: QuantumGame) -> dict:
 
 
 def game_from_json_dict(doc: Mapping) -> QuantumGame:
+    eigenvalues, payoff = doc["observable"]["eigenvalues"], doc["payoff"]
+    if not (isinstance(eigenvalues, Mapping) and isinstance(payoff, Mapping)):
+        raise ValueError("observable eigenvalues and payoff must be objects")
     labels = tuple(entry["label"] for entry in doc["state"])
     amps = tuple(Amplitude(float(e["re"]), float(e["im"])) for e in doc["state"])
     state = PureState(labels, amps)
-    observable = Observable(
-        doc["observable"]["name"],
-        {l: float(x) for l, x in doc["observable"]["eigenvalues"].items()},
-    )
+    observable = Observable(doc["observable"]["name"], {l: float(x) for l, x in eigenvalues.items()})
     payoff = PayoffFunction(
         {
             float(key): Consequence(entry["consequence"], _finite_utility(entry["utility"]))
-            for key, entry in doc["payoff"].items()
+            for key, entry in payoff.items()
         }
     )
     return QuantumGame(state, observable, payoff)
@@ -371,6 +371,8 @@ def game_from_json(text: str) -> QuantumGame:
 
 def parse_realization(text: str) -> MeasurementRealization:
     """Parse "direct" or "ancilla:n,N" into a measurement realization."""
+    if not isinstance(text, str):
+        raise ValueError(f"realization must be a string, got {text!r}")
     text = text.strip().lower()
     if text == "direct":
         return Direct()

@@ -158,6 +158,54 @@ class TestBadInputExitsTwo:
             result = runner.invoke(main, ["extract", "--prefs", "prefs.json"])
         self._assert_usage_error(result)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"setup": [], "tiers": []},
+            {"setup": "fission", "tiers": []},
+            {"setup": {"states": ["s1"], "consequences": ["c1"]}, "tiers": {}},
+            {"setup": {"states": ["s1", "s2"], "consequences": ["c1", "c2"]}, "tiers": [[{"s1": "c1", "s2": "c2"}]]},
+        ],
+        ids=["setup-list", "setup-string", "tiers-object", "no-constant-acts"],
+    )
+    def test_bad_preference_file_shape(self, runner, doc):
+        with runner.isolated_filesystem():
+            with open("prefs.json", "w") as fh:
+                json.dump(doc, fh)
+            result = runner.invoke(main, ["extract", "--prefs", "prefs.json"])
+        self._assert_usage_error(result)
+
+    @pytest.mark.parametrize(
+        "theories_patch, entry_patch, game_patch",
+        [
+            ({"priors": []}, {}, {}),
+            ({"likelihoods": []}, {}, {}),
+            ({"likelihoods": {"born": [], "skew": []}}, {}, {}),
+            ({}, {"realization": 7}, {}),
+            ({}, {"realization": None}, {}),
+            ({}, {}, {"payoff": []}),
+            ({}, {}, {"observable": {"name": "X", "eigenvalues": [1.0, 2.0]}}),
+        ],
+        ids=[
+            "priors-list", "likelihoods-list", "likelihood-table-list", "realization-number",
+            "realization-null", "payoff-list", "eigenvalues-list",
+        ],
+    )
+    def test_bad_confirm_file_shape(self, runner, theories_patch, entry_patch, game_patch):
+        with open(os.path.join(CONFIGS, "born_vs_skew.json")) as fh:
+            theories = {**json.load(fh), **theories_patch}
+        games = [{"game": {**json.loads(game_to_json(THIRD_GAME)), **game_patch}, **entry_patch}]
+        with runner.isolated_filesystem():
+            for name, doc in (("theories.json", theories), ("games.json", games)):
+                with open(name, "w") as fh:
+                    json.dump(doc, fh)
+            result = runner.invoke(main, ["confirm", "run", "--theories", "theories.json", "--games", "games.json"])
+            self._assert_usage_error(result)
+            if game_patch:
+                with open("game.json", "w") as fh:
+                    json.dump(games[0]["game"], fh)
+                self._assert_usage_error(runner.invoke(main, ["game", "eval", "--game", "game.json"]))
+
 
 class TestInProcess:
     def test_redirected_stdout_is_released(self):
