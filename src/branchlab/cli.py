@@ -25,7 +25,7 @@ from .confirmation import (
     evaluate_book_on_branches,
 )
 from .games import (
-    game_from_json,
+    game_from_json_dict,
     parse_realization,
     realization_label,
     relabel_game,
@@ -131,7 +131,7 @@ def game_eval(game_path, strategy_spec, realization_spec, relabel_check, fmt, ou
     """Value a game under a strategy and realization."""
     doc = _load_json(game_path)
     try:
-        g = game_from_json(json.dumps(doc))
+        g = game_from_json_dict(doc)
         realization = parse_realization(realization_spec)
     except (KeyError, ValueError, TypeError) as exc:
         raise click.UsageError(f"bad game file or realization: {exc}")
@@ -160,7 +160,7 @@ def game_eval(game_path, strategy_spec, realization_spec, relabel_check, fmt, ou
         report["physicality_ok"] = gap <= 1e-12
         if gap > 1e-12:
             exit_code = 1
-    _write(emit(report, fmt) if fmt != "json" else dumps_stable(report).encode(), out)
+    _write(emit(report, fmt), out)
     raise SystemExit(exit_code)
 
 
@@ -199,6 +199,9 @@ def dw_verify(
     strategy = _strategy(strategy_spec)
     if stage == "3" and (m_ is None) != (n_ is None):
         raise click.UsageError("stage 3 takes --m and --n together, or neither for the sweep")
+    for name, value in (("--u1", u1), ("--u2", u2)):
+        if not math.isfinite(value):
+            raise click.UsageError(f"{name} must be finite, got {value!r}")
     payoffs = ((Fraction(u1), Fraction(u2)),)
     try:
         if stage == "1":
@@ -384,12 +387,12 @@ def confirm_run(
         )
         games = [
             (
-                game_from_json(json.dumps(entry["game"])),
+                game_from_json_dict(entry["game"]),
                 parse_realization(entry.get("realization", "direct")),
             )
             for entry in games_doc
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise click.UsageError(f"bad theories/games file: {exc}")
     strategy = _strategy(strategy_spec)
     target = true_theory or cred.theories()[0]
@@ -428,7 +431,7 @@ def extract(prefs_path, roundtrip_sweep, seed, max_states, max_consequences, fmt
         AxiomError,
         Infeasible,
         extract_representation,
-        preferences_from_json,
+        preferences_from_json_dict,
         representation_roundtrip_sweep,
         representation_to_json_dict,
     )
@@ -447,7 +450,7 @@ def extract(prefs_path, roundtrip_sweep, seed, max_states, max_consequences, fmt
     if prefs_path is None:
         raise click.UsageError("provide --prefs or --roundtrip-sweep")
     try:
-        prefs = preferences_from_json(json.dumps(_load_json(prefs_path)))
+        prefs = preferences_from_json_dict(_load_json(prefs_path))
     except (KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad preference file: {exc}")
     try:

@@ -397,21 +397,33 @@ _LP_OPTIONS = {
 }
 
 
-def _maximize_margin(c, A_ub, b_ub, A_eq, b_eq, bounds):
+def _margin_lp(strict, eq, eq_rhs, order=()):
+    """Maximize t over x in [0, 1]^n and t in [-2, 2] subject to
+    strict @ x >= t, eq @ x = eq_rhs and order @ x <= 0.
+
+    Every extraction LP is this one problem with its own rows.  Returns
+    (x, t), or (None, -inf) when the solver fails.
+    """
     # scipy takes most of the package's import time; only an LP needs it.
     from scipy.optimize import linprog
 
+    k, n = strict.shape
+    A_ub = np.hstack([-strict, np.ones((k, 1))])
+    if len(order):
+        A_ub = np.vstack([A_ub, np.hstack([order, np.zeros((len(order), 1))])])
     res = linprog(
-        c,
-        A_ub=A_ub if A_ub is not None and len(A_ub) else None,
-        b_ub=b_ub if A_ub is not None and len(A_ub) else None,
-        A_eq=A_eq if A_eq is not None and len(A_eq) else None,
-        b_eq=b_eq if A_eq is not None and len(A_eq) else None,
-        bounds=bounds,
+        [0.0] * n + [-1.0],
+        A_ub=A_ub,
+        b_ub=np.zeros(len(A_ub)),
+        A_eq=np.hstack([eq, np.zeros((len(eq), 1))]),
+        b_eq=eq_rhs,
+        bounds=[(0.0, 1.0)] * n + [(-2.0, 2.0)],
         method="highs",
         options=_LP_OPTIONS,
     )
-    return res
+    if not res.success:
+        return None, -np.inf
+    return res.x[:n], res.x[n]
 
 
 class _Extractor:
@@ -421,10 +433,12 @@ class _Extractor:
     onehot(b), indexed out of the relation's consequence matrix, so that
     EU(a) - EU(b) = p @ M @ u.  Strict tier constraints stack into S and ties
     into T, (K, ns, nc) each, so fixing either block reduces each constraint
-    to a dot product.  The search ladder: alternation seeded by a rank-one
-    relaxation in the monomials p_s * u_c, alternation from uniform p, then
-    coarse-to-fine grids over the free utility classes, polishing every seed
-    with alternating LPs.
+    to a dot product.  One max-margin LP, ``_margin_lp``, serves all three
+    steps: the p-step and the u-step of the alternation, and the rank-one
+    relaxation in the monomials p_s * u_c, each stating only its rows.  The
+    search ladder: alternation seeded by that relaxation, alternation from
+    uniform p, then coarse-to-fine grids over the free utility classes,
+    polishing every seed with alternating LPs.
     """
 
     def __init__(self, prefs, tiers):
@@ -453,55 +467,15 @@ class _Extractor:
 
     def probability_lp(self, u):
         """Maximize the minimum strict gap over p with u fixed."""
-        coeff = self.S @ u  # (K, ns)
-        A_ub = np.hstack([-coeff, np.ones((coeff.shape[0], 1))])
-        eq_rows = [np.concatenate([np.ones(self.ns), [0.0]])]
-        if len(self.T):
-            tie_coeff = self.T @ u
-            eq_rows += [np.concatenate([row, [0.0]]) for row in tie_coeff]
-        A_eq = np.vstack(eq_rows)
-        b_eq = np.zeros(len(eq_rows))
-        b_eq[0] = 1.0
-        bounds = [(0.0, 1.0)] * self.ns + [(-2.0, 2.0)]
-        res = _maximize_margin(
-            [0.0] * self.ns + [-1.0], A_ub, np.zeros(len(A_ub)), A_eq, b_eq, bounds
-        )
-        if not res.success:
-            return None, -np.inf
-        return res.x[: self.ns], res.x[self.ns]
+        eq = np.vstack([np.ones(self.ns), self.T @ u])
+        return _margin_lp(self.S @ u, eq, [1.0] + [0.0] * len(self.T))
 
     def utility_lp(self, p):
         """Maximize the minimum strict gap over u with p fixed."""
-        coeff = np.einsum("s,ksc->kc", p, self.S)
-        A_ub = np.hstack([-coeff, np.ones((coeff.shape[0], 1))])
-        eq_rows, b_eq = [], []
-        if len(self.T):
-            tie_coeff = np.einsum("s,ksc->kc", p, self.T)
-            for row in tie_coeff:
-                eq_rows.append(np.concatenate([row, [0.0]]))
-                b_eq.append(0.0)
-        for k in self.top:
-            row = np.zeros(self.nc + 1)
-            row[k] = 1.0
-            eq_rows.append(row)
-            b_eq.append(1.0)
-        for k in self.bottom:
-            row = np.zeros(self.nc + 1)
-            row[k] = 1.0
-            eq_rows.append(row)
-            b_eq.append(0.0)
-        bounds = [(0.0, 1.0)] * self.nc + [(-2.0, 2.0)]
-        res = _maximize_margin(
-            [0.0] * self.nc + [-1.0],
-            A_ub,
-            np.zeros(len(A_ub)),
-            np.vstack(eq_rows),
-            np.array(b_eq),
-            bounds,
-        )
-        if not res.success:
-            return None, -np.inf
-        return res.x[: self.nc], res.x[self.nc]
+        unit = np.eye(self.nc)
+        eq = np.vstack([np.einsum("s,ksc->kc", p, self.T), unit[self.top], unit[self.bottom]])
+        eq_rhs = [0.0] * len(self.T) + [1.0] * len(self.top) + [0.0] * len(self.bottom)
+        return _margin_lp(np.einsum("s,ksc->kc", p, self.S), eq, eq_rhs)
 
     def alternate_from_u(self, u0, rounds=40):
         u = np.asarray(u0, dtype=float)
@@ -534,53 +508,27 @@ class _Extractor:
         close to a feasible pair and makes a strong alternation seed.
         """
         ns, nc = self.ns, self.nc
-        nz = ns * nc
-        A_ub_rows, A_eq_rows, b_eq = [], [], []
-        for M in self.S:
-            A_ub_rows.append(np.concatenate([-M.flatten(), [1.0]]))
-        for M in self.T:
-            A_eq_rows.append(np.concatenate([M.flatten(), [0.0]]))
-            b_eq.append(0.0)
-        for c in self.bottom:
-            for s in range(ns):
-                row = np.zeros(nz + 1)
-                row[s * nc + c] = 1.0
-                A_eq_rows.append(row)
-                b_eq.append(0.0)
-        for c in self.top:
-            row = np.zeros(nz + 1)
-            for s in range(ns):
-                row[s * nc + c] = 1.0
-            A_eq_rows.append(row)
-            b_eq.append(1.0)
+        cell = np.eye(ns * nc).reshape(ns * nc, ns, nc)  # cell[:, s, c] is z[s, c]'s unit row
+        eq = [self.T.reshape(len(self.T), ns * nc)]
+        eq += [cell[:, s, c] for c in self.bottom for s in range(ns)]
+        eq_rhs = [0.0] * (len(self.T) + len(self.bottom) * ns)
+        eq += [cell[:, :, c].sum(axis=1) for c in self.top]
+        eq_rhs += [1.0] * len(self.top)
         for group in self.class_members:
             for other in group[1:]:
-                for s in range(ns):
-                    row = np.zeros(nz + 1)
-                    row[s * nc + group[0]] = 1.0
-                    row[s * nc + other] = -1.0
-                    A_eq_rows.append(row)
-                    b_eq.append(0.0)
-        for g1, g2 in zip(self.class_members, self.class_members[1:]):
-            for s in range(ns):
-                row = np.zeros(nz + 1)
-                row[s * nc + g1[0]] = -1.0
-                row[s * nc + g2[0]] = 1.0
-                A_ub_rows.append(row)
-        bounds = [(0.0, 1.0)] * nz + [(-2.0, 2.0)]
-        c_obj = np.zeros(nz + 1)
-        c_obj[nz] = -1.0
-        res = _maximize_margin(
-            c_obj,
-            np.vstack(A_ub_rows),
-            np.zeros(len(A_ub_rows)),
-            np.vstack(A_eq_rows) if A_eq_rows else None,
-            np.array(b_eq) if b_eq else None,
-            bounds,
+                eq += [cell[:, s, group[0]] - cell[:, s, other] for s in range(ns)]
+                eq_rhs += [0.0] * ns
+        order = [
+            cell[:, s, g2[0]] - cell[:, s, g1[0]]
+            for g1, g2 in zip(self.class_members, self.class_members[1:])
+            for s in range(ns)
+        ]
+        z, _ = _margin_lp(
+            self.S.reshape(len(self.S), ns * nc), np.vstack(eq), eq_rhs, np.array(order)
         )
-        if not res.success:
+        if z is None:
             return None, None
-        z = res.x[:nz].reshape(ns, nc)
+        z = z.reshape(ns, nc)
         p = np.clip(z[:, self.top[0]], 0.0, None)
         p = p / p.sum() if p.sum() > 0 else np.full(ns, 1.0 / ns)
         return p, z.sum(axis=0)

@@ -115,6 +115,11 @@ class TestBadInputExitsTwo:
             ["extract", "--roundtrip-sweep", "1", "--max-states", "1"],
             ["extract", "--roundtrip-sweep", "1", "--max-consequences", "1"],
             ["extract", "--roundtrip-sweep", "1", "--max-states", "9", "--max-consequences", "9", "--seed", "3"],
+            ["dw", "verify", "--stage", "1", "--u1", "nan"],
+            ["dw", "verify", "--stage", "2", "--n", "4", "--u2", "inf"],
+            ["dw", "verify", "--stage", "3", "--m", "1", "--n", "3", "--u1", "-inf"],
+            ["dw", "verify", "--stage", "general", "--u2", "nan"],
+            ["dw", "verify", "--stage", "egal-demo", "--u1", "inf"],
         ],
     )
     def test_bad_count_or_quotient(self, runner, argv):
@@ -185,10 +190,14 @@ class TestBadInputExitsTwo:
             ({}, {"realization": None}, {}),
             ({}, {}, {"payoff": []}),
             ({}, {}, {"observable": {"name": "X", "eigenvalues": [1.0, 2.0]}}),
+            ({"priors": {"born": "1/0", "skew": "0.5"}}, {}, {}),
+            ({"likelihoods": {"born": {"1.0": "1/0", "2.0": "2/3"}, "skew": {"1.0": "0.9", "2.0": "0.1"}}}, {}, {}),
+            ({"priors": {"born": "1e400", "skew": "0.5"}}, {}, {}),
         ],
         ids=[
             "priors-list", "likelihoods-list", "likelihood-table-list", "realization-number",
-            "realization-null", "payoff-list", "eigenvalues-list",
+            "realization-null", "payoff-list", "eigenvalues-list", "prior-zero-denominator",
+            "likelihood-zero-denominator", "prior-overflow",
         ],
     )
     def test_bad_confirm_file_shape(self, runner, theories_patch, entry_patch, game_patch):

@@ -1,6 +1,7 @@
 """Decision-kernel tests: evaluation, axioms, event comparison, extraction."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -331,6 +332,52 @@ class TestExtraction:
             representation_roundtrip_sweep(1, seed=seed, max_states=9, max_consequences=9)
         with pytest.raises(ValueError, match="acts, over the 100000"):
             representation_roundtrip_sweep(1, seed=seed, max_states=10**9, max_consequences=2)
+
+    def test_roundtrip_with_repeated_utility_levels(self):
+        # Utilities drawn from {0, 1, 2} tie acts and put several consequences
+        # in one class, so the tie rows T and the relaxation's within-class
+        # rows are filled, which the strict sweep never does.
+        rng = random.Random(0)
+        for _ in range(60):
+            ns, nc = rng.randrange(2, 4), rng.randrange(2, 5)
+            setup = Setup(
+                "fission",
+                tuple(f"s{i}" for i in range(1, ns + 1)),
+                tuple(f"c{i}" for i in range(1, nc + 1)),
+            )
+            raw = [rng.randrange(1, 6) for _ in range(ns)]
+            r = rep(
+                {s: Fraction(k, sum(raw)) for s, k in zip(setup.states, raw)},
+                {c: Fraction(rng.randrange(3)) for c in setup.consequences},
+            )
+            prefs = generate_preferences(setup, r)
+            out = extract_representation(prefs)
+            assert isinstance(out, Representation), (raw, r.utility, out)
+            assert orderings_match(prefs, out), (raw, r.utility, out)
+
+    def test_every_lp_goes_through_margin_lp(self, monkeypatch):
+        import scipy.optimize
+
+        counts = {"linprog": 0, "margin": 0}
+        linprog, margin_lp = scipy.optimize.linprog, decision._margin_lp
+
+        def counted_linprog(*args, **kwargs):
+            counts["linprog"] += 1
+            return linprog(*args, **kwargs)
+
+        def counted_margin_lp(*args, **kwargs):
+            counts["margin"] += 1
+            return margin_lp(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counted_linprog)
+        monkeypatch.setattr(decision, "_margin_lp", counted_margin_lp)
+        setup = Setup("fission", ("s1", "s2", "s3"), ("c1", "c2", "c3"))
+        r = rep(
+            {"s1": Fraction(1, 6), "s2": Fraction(1, 3), "s3": Fraction(1, 2)},
+            {"c1": Fraction(0), "c2": Fraction(3, 7), "c3": Fraction(1)},
+        )
+        assert isinstance(extract_representation(generate_preferences(setup, r)), Representation)
+        assert counts["linprog"] == counts["margin"] > 0
 
 
 class TestPreferenceJson:
