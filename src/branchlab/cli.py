@@ -8,11 +8,13 @@ check, 2 on usage or validation errors.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, Iterator
 
 import click
 
@@ -65,14 +67,21 @@ def _echo(message: str, nl: bool = True) -> None:
     click.echo(message, nl=nl, file=sys.stdout)
 
 
-def _write(data: bytes, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[Callable[[str], object]]:
+    """A writer of text to stdout, or to the --out file, reported once written."""
     target = _resolve_out(out)
     if target is None:
-        _echo(data.decode(), nl=False)
-    else:
-        with open(target, "wb") as fh:
-            fh.write(data)
-        _echo(f"wrote {target}")
+        yield lambda text: _echo(text, nl=False)
+        return
+    with open(target, "w", encoding="utf-8", newline="") as fh:
+        yield fh.write
+    _echo(f"wrote {target}")
+
+
+def _write(data: bytes, out: str | None) -> None:
+    with _output(out) as write:
+        write(data.decode())
 
 
 def _load_json(path: str):
@@ -318,6 +327,13 @@ def dutchbook(pa, pta, q, stake, sweep, seed, fmt, out) -> None:
         pa_f, pta_f, q_f, stake_f = Fraction(pa), Fraction(pta), Fraction(q), Fraction(stake)
     except (ValueError, ZeroDivisionError) as exc:
         raise click.UsageError(f"bad quotient: {exc}")
+    # The report prints every number as a float, and the checks compare floats.
+    flags = (("--pa", pa, pa_f), ("--pta", pta, pta_f), ("--q", q, q_f), ("--stake", stake, stake_f))
+    for name, text, value in flags:
+        try:
+            float(value)
+        except OverflowError:
+            raise click.UsageError(f"{name} {text} is too large for a float")
     try:
         cred = _credences_for(pa_f, pta_f)
         book = build_dutch_book(cred, Deviant({("T", "A"): q_f}), "A", "T", stake=stake_f)
@@ -405,7 +421,8 @@ def confirm_run(
         report = confirmation_experiment(cred, games, strategy, trials=depth)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    _write(emit(report, fmt), out)
+    with _output(out) as write:
+        emit(report, fmt, write)
     mass = float(report.final_mass_above(target, threshold))
     _echo(f"final caring mass with credence({target}) > {fmt_float(threshold)}: {fmt_float(mass)}")
     if require_mass is not None and mass <= require_mass:

@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence, Union
+from functools import partial
+from operator import mul
+from typing import Callable, Hashable, Iterator, Mapping, Sequence, Union
 
 from .branching import BranchLeaf, BranchTree, branch
 from .exact import Number
@@ -320,7 +322,10 @@ class TrajectoryRow:
 
     Rows of confirmation_experiment hold a Credences mapping over their
     class's weights (ints on exact input), so a credence is built as a
-    Fraction only when it is read; any other mapping works as well.
+    Fraction only when it is read; any other mapping works as well.  On
+    exact caring measures they are built by over(): such a row keeps its int
+    mass over the iteration's int scale, and builds its caring_mass Fraction
+    only when that is read, too.
     """
 
     iteration: int
@@ -329,15 +334,123 @@ class TrajectoryRow:
     credences: Mapping[str, Number]
     frozen: bool = False
 
+    @classmethod
+    def over(
+        cls,
+        scale: int,
+        iteration: int,
+        outcome_class: tuple[tuple[float, int], ...],
+        mass: int,
+        credences: Mapping[str, Number],
+        frozen: bool,
+    ) -> TrajectoryRow:
+        """A row whose caring mass is Fraction(mass, scale), built on read."""
+        row = cls.__new__(cls)
+        vars(row).update(
+            iteration=iteration, outcome_class=outcome_class, credences=credences, frozen=frozen,
+            _scaled=(mass, scale),
+        )
+        return row
 
-@dataclass(frozen=True)
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the row lacks: caring_mass, on a row
+        # built by over().
+        if name == "caring_mass" and "_scaled" in vars(self):
+            return Fraction(*self._scaled)
+        raise AttributeError(name)
+
+
+class TrajectoryIteration(Sequence):
+    """The rows of one iteration of confirmation_experiment, built on read.
+
+    It holds the iteration's merged classes in row order, each as (outcome
+    counts, frozen, mass, Credences), with the outcomes and the mass scale
+    (None for masses kept as given) they share.  Reading it as a sequence
+    builds each TrajectoryRow; printed() gives what a renderer prints
+    without building any.
+    """
+
+    __slots__ = ("iteration", "outcomes", "scale", "_entries")
+
+    def __init__(self, iteration: int, outcomes: Sequence[float], scale: int | None, entries: list) -> None:
+        self.iteration, self.outcomes, self.scale, self._entries = iteration, outcomes, scale, entries
+
+    def _row(self, entry) -> TrajectoryRow:
+        counts, frozen, mass, credences = entry
+        outcome_class = tuple(zip(self.outcomes, counts))
+        if self.scale is None:
+            return TrajectoryRow(self.iteration, outcome_class, mass, credences, frozen)
+        return TrajectoryRow.over(self.scale, self.iteration, outcome_class, mass, credences, frozen)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._row(entry) for entry in self._entries[k]]
+        return self._row(self._entries[k])
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self) -> Iterator[TrajectoryRow]:
+        return map(self._row, self._entries)
+
+    def printed(self) -> Iterator[tuple]:
+        """(outcome counts, mass, credence floats) per row, in order, every
+        number a correctly rounded float: a mass over a scale is one int
+        division, and a mass kept as given started from Fraction(1), so it is
+        a float or a Fraction, floated by one int division too."""
+        scale = self.scale
+        for counts, _, mass, credences in self._entries:
+            if scale is not None:
+                mass = mass / scale
+            elif isinstance(mass, Fraction):
+                mass = mass.numerator / mass.denominator
+            yield counts, mass, credences.floats
+
+
 class TrajectoryReport:
-    rows: tuple[TrajectoryRow, ...]
-    theories: tuple[str, ...]
-    trials: int
+    """The rows of iterations 0..trials, produced one iteration at a time.
+
+    A report holds new_pass: a function that starts a pass, which yields
+    each iteration's rows in order, one sequence at a time (a
+    TrajectoryIteration from confirmation_experiment); given rows instead,
+    a pass yields them as one tuple.  Each read below runs a new pass, so a
+    reader that consumes iterations() holds one iteration, never the
+    trajectory, while rows builds every row on each read.  The last
+    sequence of the latest complete pass is kept, so the final iteration is
+    read after a streamed pass without a second one.
+    """
+
+    def __init__(
+        self,
+        rows: Sequence[TrajectoryRow] | None = None,
+        *,
+        theories: Sequence[str],
+        trials: int,
+        new_pass: Callable[[], Iterator[Sequence[TrajectoryRow]]] | None = None,
+    ) -> None:
+        self.theories, self.trials = tuple(theories), trials
+        if new_pass is None:
+            given = tuple(rows or ())
+            new_pass = lambda: iter((given,))  # noqa: E731
+        self._new_pass = new_pass
+        self._final: Sequence[TrajectoryRow] | None = None
+
+    def iterations(self) -> Iterator[Sequence[TrajectoryRow]]:
+        """A new pass: the rows of each iteration in turn."""
+        last = None
+        for last in self._new_pass():
+            yield last
+        self._final = last
+
+    @property
+    def rows(self) -> tuple[TrajectoryRow, ...]:
+        """Every row of a new pass, in order."""
+        return tuple(row for rows in self.iterations() for row in rows)
 
     def rows_at(self, iteration: int) -> list[TrajectoryRow]:
-        return [row for row in self.rows if row.iteration == iteration]
+        final = iteration == self.trials and self._final is not None
+        return [row for rows in ((self._final,) if final else self.iterations())
+                for row in rows if row.iteration == iteration]
 
     def final_mass_above(self, theory: str, threshold: float) -> Number:
         """Caring mass of final branches whose credence in the theory exceeds
@@ -383,8 +496,9 @@ def _grow(classes: dict, step: Sequence[tuple[int, Number, tuple | None]]) -> di
             # alike for every branch with the same counts.
             if frozen_at is None and key not in grown:
                 if likelihoods is not None:
-                    new = tuple(w * l for w, l in zip(weights, likelihoods))
-                if likelihoods is None or sum(new) == 0:
+                    new = tuple(map(mul, weights, likelihoods))
+                # Weights are nonnegative: they sum to zero when all are zero.
+                if likelihoods is None or not any(new):
                     key, new = (moved, counts), weights
             if key in grown:
                 grown[key][0] += mass * m
@@ -399,33 +513,54 @@ def _rows(
     outcomes: Sequence[float],
     theories: Sequence[str],
     scale: int | None,
-) -> list[TrajectoryRow]:
-    """Rows merged by (outcome class, credences, frozen) and sorted by that key.
+) -> TrajectoryIteration:
+    """Rows merged by (outcome counts, credences, frozen) and sorted by that key.
 
     The key floats every w / total (on ints, correctly rounded int
     division); a row keeps the first merged class's weights as its lazy
-    Credences.  Int masses (scale not None) sum as ints and become one
-    Fraction(mass, scale) per row; other masses are summed as they are.
+    Credences.  Masses are summed as they are and kept over the scale (None
+    for float masses).  Sorting by counts sorts by outcome class, since
+    every class lists the same outcomes.
     """
     index = {t: k for k, t in enumerate(theories)}
     # The key lists the floats in theory-name order, so rows with the same
     # outcome class sort by their credences theory by theory, by name.
     by_name = sorted(range(len(theories)), key=theories.__getitem__)
+    in_order = by_name == list(range(len(theories)))
     merged: dict[tuple, list] = {}
     for (counts, frozen_at), (mass, weights) in classes.items():
         total = sum(weights)
         floats = tuple([float(w / total) for w in weights])
-        key = (tuple(zip(outcomes, counts)), tuple([floats[k] for k in by_name]), frozen_at is not None)
-        if key in merged:
-            merged[key][0] += mass
-        else:
+        key = (counts, floats if in_order else tuple([floats[k] for k in by_name]), frozen_at is not None)
+        entry = merged.get(key)
+        if entry is None:
             merged[key] = [mass, Credences(index, weights, total, floats)]
-    rows = []
-    for key in sorted(merged):
-        mass, credences = merged[key]
-        caring = mass if scale is None else Fraction(mass, scale)
-        rows.append(TrajectoryRow(iteration, key[0], caring, credences, key[2]))
-    return rows
+        else:
+            entry[0] += mass
+    # Keys are distinct, so sorting the items compares keys only.
+    entries = [(key[0], key[2], *entry) for key, entry in sorted(merged.items())]
+    return TrajectoryIteration(iteration, outcomes, scale, entries)
+
+
+def _trajectory(
+    priors: Mapping[str, Number],
+    first: dict,
+    steps: Sequence[tuple[list, int]],
+    outcomes: Sequence[float],
+    trials: int,
+    exact_masses: bool,
+) -> Iterator[Sequence[TrajectoryRow]]:
+    """The rows of iterations 0..trials, one iteration at a time, from
+    iteration 1's classes (first); only the current classes are held."""
+    theories = tuple(priors)
+    yield [TrajectoryRow(0, (), Fraction(1), dict(priors))]
+    classes, scale = first, 1
+    for it in range(1, trials + 1):
+        step, step_scale = steps[(it - 1) % len(steps)]
+        if it > 1:
+            classes = _grow(classes, step)
+        scale *= step_scale
+        yield _rows(it, classes, outcomes, theories, scale if exact_masses else None)
 
 
 def confirmation_experiment(
@@ -457,10 +592,14 @@ def confirmation_experiment(
     denominators, so class masses are ints over the running product of
     those scales.  Float input is used as given, in the same order.
 
-    Rows keep what the recursion computed.  On exact input a row's caring
-    mass is one Fraction(mass, scale), and its credences are a Credences
-    mapping over the class's int weights that builds each Fraction only when
-    it is read; the floats the rows are merged on are kept for printing.
+    The inputs are checked, each game's caring masses taken and the first
+    measurement made here; the rest of the recursion runs on each pass over
+    the returned report, one iteration at a time (see TrajectoryReport).
+    Rows keep what the recursion computed: on exact input a row's caring
+    mass is its int mass over the iteration's scale, and its credences are a
+    Credences mapping over the class's int weights, each building its
+    Fraction only when read; the floats the rows are merged on are kept for
+    printing.
     """
     if isinstance(strategy, TablePreference):
         raise ValueError("a table preference has no caring measure to weigh branches with")
@@ -498,11 +637,9 @@ def confirmation_experiment(
         ms, scale = _integers(ms) if exact_masses else (ms, 1)
         steps.append(([(axis[x], m, likelihoods[x]) for x, m in zip(xs, ms)], scale))
     classes = {((0,) * len(outcomes), None): [1 if exact_masses else Fraction(1), priors]}
-    rows = [TrajectoryRow(0, (), Fraction(1), dict(cred.priors))]
-    scale = 1
-    for it in range(1, trials + 1):
-        step, step_scale = steps[(it - 1) % len(steps)]
-        classes = _grow(classes, step)
-        scale *= step_scale
-        rows.extend(_rows(it, classes, outcomes, theories, scale if exact_masses else None))
-    return TrajectoryReport(rows=tuple(rows), theories=theories, trials=trials)
+    first = _grow(classes, steps[0][0]) if trials else classes
+    return TrajectoryReport(
+        theories=theories,
+        trials=trials,
+        new_pass=partial(_trajectory, cred.priors, first, steps, outcomes, trials, exact_masses),
+    )

@@ -12,7 +12,6 @@ utilities reproduce the ordering exactly.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -795,10 +794,6 @@ def preferences_from_json_dict(doc) -> PreferenceRelation:
         )
     tiers = [[Act.from_mapping(act) for act in tier] for tier in tiers_raw]
     return PreferenceRelation.from_tiers(setup, tiers)
-
-
-def preferences_from_json(text: str) -> PreferenceRelation:
-    return preferences_from_json_dict(json.loads(text))
 
 
 def representation_to_json_dict(rep: Representation) -> dict:

@@ -5,8 +5,9 @@ digits, and no timestamps or environment details leak in, so identical
 inputs produce identical bytes.
 
 A confirmation trajectory prints in all three formats through one row
-renderer: it walks the rows once and formats each from the numbers the row
-carries, with one format string per row.  Its CSV header goes through
+renderer: it takes the trajectory one iteration at a time and formats each
+row from the numbers the row carries, with one format string per row, so it
+can stream the text as it goes (emit's write).  Its CSV header goes through
 csv.writer, so a theory name with a comma or a quote is quoted there.  Other
 reports go cell by cell through rows_to_csv and rows_to_table.
 """
@@ -17,9 +18,10 @@ import csv
 import io
 import json
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from itertools import chain
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from .confirmation import Credences, TrajectoryReport
+from .confirmation import Credences, TrajectoryIteration, TrajectoryReport
 from .verifier import StageReport
 
 
@@ -110,57 +112,118 @@ def _as_rows(report) -> tuple[list[str], list[Mapping]]:
     raise TypeError(f"no tabular form for {type(report).__name__}")
 
 
-def _render_trajectory(report, fmt: str) -> str:
-    """A trajectory as csv, table or json text, each row formatted in one go.
+def _trajectory_text(report: TrajectoryReport, fmt: str) -> Iterator[str]:
+    """A trajectory as csv, table or json text, one iteration at a time.
 
     A row prints its iteration, its outcome-class label (each outcome
     formatted once per report), its caring mass and its credences in theory
-    order.  A Fraction mass floats by one int division, and a Credences
-    mapping gives the floats its row was merged on: both are correctly
-    rounded, so they print as float(Fraction) would.  Other credences (the
-    iteration-0 priors) are floated by the format.  Every body cell is an
+    order, all through one format string.  A Fraction mass floats by one int
+    division, and a Credences mapping gives the floats its row was merged
+    on: both are correctly rounded, so they print as float(Fraction) would;
+    other credences (the iteration-0 priors) are floated by the format.  A TrajectoryIteration
+    gives these numbers without building its rows.  Every body cell is an
     int, a label of ';' and ':' joined numbers or a 12-significant-digit
-    float, so none needs CSV quoting; the header goes through csv.writer,
-    which quotes a theory name where it must.
+    float, so none needs CSV quoting or json escaping; the header goes
+    through csv.writer, which quotes a theory name where it must.  A table
+    takes two passes, the first for its column widths, and json prints the
+    bytes json.dumps(records, indent=2) gives.
     """
     theories = report.theories
     fields = ["iteration", "outcome_class", "caring_mass", *(f"credence_{t}" for t in theories)]
     line = "%d,%s" + ",%.12g" * (1 + len(theories))
     labels = _Labels()
-    rows = []
-    for row in report.rows:
-        mass, c = row.caring_mass, row.credences
-        rows.append((
-            row.iteration,
-            ";".join([f"{labels[x]}:{count}" for x, count in row.outcome_class]),
-            mass.numerator / mass.denominator if isinstance(mass, Fraction) else mass,
-            *(c.floats if isinstance(c, Credences) else [c[t] for t in theories]),
-        ))
+
+    def numbers(rows) -> Iterator[tuple]:
+        if isinstance(rows, TrajectoryIteration):
+            it, label = rows.iteration, ";".join([f"{labels[x]}:%d" for x in rows.outcomes])
+            for counts, mass, floats in rows.printed():
+                yield (it, label % counts, mass, *floats)
+            return
+        for row in rows:
+            mass, c = row.caring_mass, row.credences
+            yield (
+                row.iteration,
+                ";".join([f"{labels[x]}:{count}" for x, count in row.outcome_class]),
+                mass.numerator / mass.denominator if isinstance(mass, Fraction) else mass,
+                *(c.floats if isinstance(c, Credences) else [c[t] for t in theories]),
+            )
+
     if fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow(fields)
+        yield buf.getvalue()
         line += "\n"
-        return buf.getvalue() + "".join([line % r for r in rows])
-    if fmt == "table":
-        return _table(fields, [(line % r).split(",") for r in rows])
-    # json: a number prints as its 12-digit cell read back, an int as itself.
-    records = []
-    for r in rows:
-        cells = (line % r).split(",")
-        records.append({f: v if isinstance(v, (int, str)) else float(cell)
-                        for f, v, cell in zip(fields, r, cells)})
-    return json.dumps(records, indent=2) + "\n"
+        for rows in report.iterations():
+            yield "".join([line % r for r in numbers(rows)])
+    elif fmt == "table":
+        widths = [len(f) for f in fields]
+        for rows in report.iterations():
+            for k, cells in enumerate(zip(*[(line % r).split(",") for r in numbers(rows)])):
+                widths[k] = max(widths[k], *map(len, cells))
+        yield "  ".join(name.ljust(w) for name, w in zip(fields, widths)).rstrip() + "\n"
+        # ljust each cell through its conversion's width: %-Nd, %-Ns, %-N.12g.
+        specs = ["d", "s", *[".12g"] * (len(fields) - 2)]
+        padded = "  ".join(f"%-{w}{spec}" for w, spec in zip(widths, specs))
+        for rows in report.iterations():
+            yield "".join([(padded % r).rstrip() + "\n" for r in numbers(rows)])
+    else:
+        # The records json.dumps(records, indent=2) would print, with an int
+        # as itself and any other number as its 12-digit cell read back.  A
+        # cell in fixed point (1e-4 to 1e12, with a point) or with an exponent
+        # from -5 to -307 holds a normal float, which no shorter decimal
+        # reads back as, so repr keeps the cell's digits; and repr, like
+        # "%g", writes a fixed point from 1e-4 up and an exponent below.  Such
+        # a cell is already its float's json text; any other, such as a
+        # whole number or a subnormal float, goes through json.
+        width = len(fields)
+        record = "  {\n" + ",\n".join(f"    {json.dumps(f).replace('%', '%%')}: %s" for f in fields) + "\n  }"
+        head = "[\n"
+        for rows in report.iterations():
+            printed = list(numbers(rows))
+            if not printed:
+                continue
+            cells = ",".join([line % r for r in printed]).split(",")
+            cells[1::width] = [f'"{label}"' for label in cells[1::width]]
+            for k in range(2, width):
+                column = cells[k::width]
+                plain = ",".join(column)
+                if "e" in plain or plain.count(".") != len(column):  # not every cell in fixed point
+                    # An exponent ends its cell, and as text "-dd" or "ddd"
+                    # sorts below "308" exactly when it is below 308.
+                    cells[k::width] = [
+                        c if ("e" not in c and "." in c) or ("e-" in c and c[-3:] < "308") else json.dumps(float(c))
+                        for c in column
+                    ]
+            # Given rows may hold ints, which print as themselves; every
+            # number of a TrajectoryIteration is a float.
+            if not isinstance(rows, TrajectoryIteration):
+                for i, value in enumerate(chain.from_iterable(printed)):
+                    if i % width > 1 and isinstance(value, int):
+                        cells[i] = json.dumps(value)
+            yield head + ",\n".join([record] * len(printed)) % tuple(cells)
+            head = ",\n"
+        yield "[]\n" if head == "[\n" else "\n]\n"
 
 
-def emit(report, fmt: str) -> bytes:
-    """Serialize a report as json, csv or table bytes with stable ordering."""
+def _text(report, fmt: str) -> str:
+    if fmt == "json":
+        return dumps_stable(report.to_json_dict() if hasattr(report, "to_json_dict") else report)
+    fields, rows = _as_rows(report)
+    return rows_to_csv(fields, rows) if fmt == "csv" else rows_to_table(fields, rows)
+
+
+def emit(report, fmt: str, write: Callable[[str], object] | None = None) -> bytes | None:
+    """Serialize a report as json, csv or table bytes with stable ordering.
+
+    Given write, the text goes to it instead, piece by piece as it is
+    rendered (a trajectory one iteration at a time), and nothing is
+    returned.
+    """
     if fmt not in ("json", "csv", "table"):
         raise ValueError(f"unknown format {fmt!r}")
-    if isinstance(report, TrajectoryReport):
-        return _render_trajectory(report, fmt).encode()
-    if fmt == "json":
-        if hasattr(report, "to_json_dict"):
-            return dumps_stable(report.to_json_dict()).encode()
-        return dumps_stable(report).encode()
-    fields, rows = _as_rows(report)
-    return (rows_to_csv(fields, rows) if fmt == "csv" else rows_to_table(fields, rows)).encode()
+    pieces = _trajectory_text(report, fmt) if isinstance(report, TrajectoryReport) else (_text(report, fmt),)
+    if write is None:
+        return "".join(pieces).encode()
+    for piece in pieces:
+        write(piece)
+    return None

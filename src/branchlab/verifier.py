@@ -66,9 +66,10 @@ class StageReport:
     def merge(cls, reports: Sequence["StageReport"], details: str | None = None) -> "StageReport":
         """One report over several runs of the same stage.
 
-        It passes only if every run passes, is inconclusive if any run is,
-        keeps the worst residual and every case in order, and joins the runs'
-        details with " ; " unless details are given.
+        It passes only if every run passes, is inconclusive if some run is
+        and none failed outright (a failed run fails the whole), keeps the
+        worst residual and every case in order, and joins the runs' details
+        with " ; " unless details are given.
         """
         return cls(
             stage=reports[0].stage,
@@ -76,7 +77,9 @@ class StageReport:
             residual=max(r.residual for r in reports),
             details=" ; ".join(r.details for r in reports) if details is None else details,
             cases=tuple(case for r in reports for case in r.cases),
-            inconclusive=any(r.inconclusive for r in reports),
+            inconclusive=(
+                any(r.inconclusive for r in reports) and all(r.passed or r.inconclusive for r in reports)
+            ),
         )
 
     @property
@@ -308,7 +311,10 @@ def verify_stage_general(
     through the stage-3 construction; the ancilla values must approach
     a1_squared*u1 + (1 - a1_squared)*u2, with residuals non-increasing in the
     cap.  Exhausting the cap before reaching the tolerance is reported as
-    inconclusive, which is distinct from failure.
+    inconclusive, which is distinct from failure.  As in stage 3, the gap
+    between an approximant's direct and ancilla values (its mn_delta) is
+    folded into the residual: a gap above STAGE_TOL fails the stage whatever
+    the cap, since no larger cap closes it.
     """
     if not (0.0 < a1_squared < 1.0):
         raise ValueError("a1_squared must lie strictly between 0 and 1")
@@ -365,16 +371,18 @@ def verify_stage_general(
     monotone = all(b <= a + 1e-15 for a, b in zip(residuals, residuals[1:]))
     final = residuals[-1]
     converged = final <= tolerance
+    gap = max(case["mn_delta"] for case in cases)
+    realized = gap <= STAGE_TOL
     return StageReport(
         stage="S4to6",
-        passed=converged and monotone,
-        residual=float(final),
+        passed=converged and monotone and realized,
+        residual=float(max(final, gap)),
         details=(
             f"a1^2={a1_squared!r}, caps up to {max_denominator}, "
             f"monotone={monotone}, tolerance={tolerance!r}"
         ),
         cases=tuple(cases),
-        inconclusive=not converged,
+        inconclusive=realized and not converged,
     )
 
 

@@ -442,3 +442,29 @@ class TestEmit:
         as_table = runner.invoke(main, argv + ["--format", "table"])
         assert as_json.exit_code == as_csv.exit_code == as_table.exit_code == 0
         assert "mn_delta" in as_csv.output and "mn_delta" in as_table.output
+
+
+@pytest.mark.parametrize("flag", ["--pa", "--pta", "--q", "--stake"])
+def test_dutchbook_number_too_large_for_a_float_is_usage_error(runner, flag):
+    result = runner.invoke(main, ["dutchbook", flag, "1e400"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines()[-1] == f"Error: {flag} 1e400 is too large for a float"
+
+
+@pytest.mark.parametrize("strategy, code", [("born", 0), ("egalitarian", 1), ("squared", 1)])
+def test_general_stage_verdict_includes_the_realization_gap(runner, strategy, code):
+    result = runner.invoke(main, ["dw", "verify", "--stage", "general", "--strategy", strategy])
+    assert result.exit_code == code
+    assert result.output.splitlines()[-1].startswith(f"stage S4to6: {'pass' if code == 0 else 'fail'} ")
+
+
+def test_general_stage_failing_target_is_not_hidden_by_an_inconclusive_one(runner):
+    """Egalitarian at a1^2 = 0.45 never leaves the equal-weight approximant 1/2
+    below cap 4 (no realization gap, not converged: inconclusive), while at
+    0.3 the approximant 1/3 shows a gap of 5/3: the merged stage fails."""
+    argv = ["dw", "verify", "--stage", "general", "--strategy", "egalitarian", "--max-denominator", "4"]
+    assert runner.invoke(main, argv + ["--a1sq", "0.45"]).output.splitlines()[-1].startswith("stage S4to6: inconclusive")
+    result = runner.invoke(main, argv + ["--a1sq", "0.45", "--a1sq", "0.3"])
+    assert result.exit_code == 1
+    assert result.output.splitlines()[-1] == "stage S4to6: fail (residual 1.66666666667)"

@@ -343,3 +343,18 @@ class TestOneTreePerCheck:
     def test_every_payoff_needs_one_utility_per_outcome(self, check):
         with pytest.raises(ValueError, match="one utility per outcome"):
             check()
+
+
+@pytest.mark.parametrize(
+    "strategy, passed",
+    [(Born(), True), (Egalitarian(), False), (SquaredWeightRenormalized(), False)],
+    ids=["born", "egalitarian", "squared"],
+)
+def test_general_stage_folds_in_the_realization_gap(strategy, passed):
+    """Egalitarian and squared care converge on the target through the
+    register, yet their direct values differ from it (mn_delta), as at stage
+    3: the general stage fails them, whatever the cap, and passes Born."""
+    report = verify_stage_general(strategy, 1 / math.sqrt(2), 1e-4, payoff=(10, 0), max_denominator=4096)
+    gap = max(case["mn_delta"] for case in report.cases)
+    assert report.verdict == ("pass" if passed else "fail")
+    assert report.residual >= gap and (gap == 0) is passed
