@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from operator import mul
-from typing import Callable, Hashable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .branching import BranchLeaf, BranchTree, branch
 from .exact import Number
@@ -322,10 +323,7 @@ class TrajectoryRow:
 
     Rows of confirmation_experiment hold a Credences mapping over their
     class's weights (ints on exact input), so a credence is built as a
-    Fraction only when it is read; any other mapping works as well.  On
-    exact caring measures they are built by over(): such a row keeps its int
-    mass over the iteration's int scale, and builds its caring_mass Fraction
-    only when that is read, too.
+    Fraction only when it is read; any other mapping works as well.
     """
 
     iteration: int
@@ -334,40 +332,15 @@ class TrajectoryRow:
     credences: Mapping[str, Number]
     frozen: bool = False
 
-    @classmethod
-    def over(
-        cls,
-        scale: int,
-        iteration: int,
-        outcome_class: tuple[tuple[float, int], ...],
-        mass: int,
-        credences: Mapping[str, Number],
-        frozen: bool,
-    ) -> TrajectoryRow:
-        """A row whose caring mass is Fraction(mass, scale), built on read."""
-        row = cls.__new__(cls)
-        vars(row).update(
-            iteration=iteration, outcome_class=outcome_class, credences=credences, frozen=frozen,
-            _scaled=(mass, scale),
-        )
-        return row
 
-    def __getattr__(self, name: str):
-        # Reached only for an attribute the row lacks: caring_mass, on a row
-        # built by over().
-        if name == "caring_mass" and "_scaled" in vars(self):
-            return Fraction(*self._scaled)
-        raise AttributeError(name)
-
-
-class TrajectoryIteration(Sequence):
+class TrajectoryIteration:
     """The rows of one iteration of confirmation_experiment, built on read.
 
     It holds the iteration's merged classes in row order, each as (outcome
     counts, frozen, mass, Credences), with the outcomes and the mass scale
-    (None for masses kept as given) they share.  Reading it as a sequence
-    builds each TrajectoryRow; printed() gives what a renderer prints
-    without building any.
+    (None for masses kept as given) they share.  Iterating it builds each
+    TrajectoryRow; printed() gives what a renderer prints without building
+    any.
     """
 
     __slots__ = ("iteration", "outcomes", "scale", "_entries")
@@ -375,23 +348,11 @@ class TrajectoryIteration(Sequence):
     def __init__(self, iteration: int, outcomes: Sequence[float], scale: int | None, entries: list) -> None:
         self.iteration, self.outcomes, self.scale, self._entries = iteration, outcomes, scale, entries
 
-    def _row(self, entry) -> TrajectoryRow:
-        counts, frozen, mass, credences = entry
-        outcome_class = tuple(zip(self.outcomes, counts))
-        if self.scale is None:
-            return TrajectoryRow(self.iteration, outcome_class, mass, credences, frozen)
-        return TrajectoryRow.over(self.scale, self.iteration, outcome_class, mass, credences, frozen)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self._row(entry) for entry in self._entries[k]]
-        return self._row(self._entries[k])
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __iter__(self) -> Iterator[TrajectoryRow]:
-        return map(self._row, self._entries)
+        for counts, frozen, mass, credences in self._entries:
+            if self.scale is not None:
+                mass = Fraction(mass, self.scale)
+            yield TrajectoryRow(self.iteration, tuple(zip(self.outcomes, counts)), mass, credences, frozen)
 
     def printed(self) -> Iterator[tuple]:
         """(outcome counts, mass, credence floats) per row, in order, every
@@ -411,31 +372,28 @@ class TrajectoryReport:
     """The rows of iterations 0..trials, produced one iteration at a time.
 
     A report holds new_pass: a function that starts a pass, which yields
-    each iteration's rows in order, one sequence at a time (a
+    the rows of iteration 0, 1, ..., trials in turn, one iterable each (a
     TrajectoryIteration from confirmation_experiment); given rows instead,
     a pass yields them as one tuple.  Each read below runs a new pass, so a
     reader that consumes iterations() holds one iteration, never the
-    trajectory, while rows builds every row on each read.  The last
-    sequence of the latest complete pass is kept, so the final iteration is
-    read after a streamed pass without a second one.
+    trajectory.  The last iterable of the latest complete pass is kept, so
+    the final iteration is read after a streamed pass without a second one.
     """
 
     def __init__(
         self,
-        rows: Sequence[TrajectoryRow] | None = None,
-        *,
+        rows: Sequence[TrajectoryRow] | None,
         theories: Sequence[str],
         trials: int,
-        new_pass: Callable[[], Iterator[Sequence[TrajectoryRow]]] | None = None,
+        *,
+        new_pass: Callable[[], Iterator[Iterable[TrajectoryRow]]] | None = None,
     ) -> None:
         self.theories, self.trials = tuple(theories), trials
-        if new_pass is None:
-            given = tuple(rows or ())
-            new_pass = lambda: iter((given,))  # noqa: E731
-        self._new_pass = new_pass
-        self._final: Sequence[TrajectoryRow] | None = None
+        self._given = None if new_pass is not None else tuple(rows or ())
+        self._new_pass = new_pass or (lambda: iter((self._given,)))
+        self._final: Iterable[TrajectoryRow] | None = None
 
-    def iterations(self) -> Iterator[Sequence[TrajectoryRow]]:
+    def iterations(self) -> Iterator[Iterable[TrajectoryRow]]:
         """A new pass: the rows of each iteration in turn."""
         last = None
         for last in self._new_pass():
@@ -444,13 +402,20 @@ class TrajectoryReport:
 
     @property
     def rows(self) -> tuple[TrajectoryRow, ...]:
-        """Every row of a new pass, in order."""
+        """Every row, in order.  Each read runs a whole new pass and builds
+        every row, so a caller that needs them twice keeps the tuple."""
         return tuple(row for rows in self.iterations() for row in rows)
 
     def rows_at(self, iteration: int) -> list[TrajectoryRow]:
-        final = iteration == self.trials and self._final is not None
-        return [row for rows in ((self._final,) if final else self.iterations())
-                for row in rows if row.iteration == iteration]
+        """The rows of one iteration: the final one from the latest complete
+        pass if there is one, any other from a new pass that stops there."""
+        if iteration == self.trials and self._final is not None:
+            rows = self._final
+        elif self._given is not None or not 0 <= iteration <= self.trials:
+            rows = self._given or ()
+        else:
+            rows = next(islice(self._new_pass(), iteration, None))
+        return [row for row in rows if row.iteration == iteration]
 
     def final_mass_above(self, theory: str, threshold: float) -> Number:
         """Caring mass of final branches whose credence in the theory exceeds
@@ -549,7 +514,7 @@ def _trajectory(
     outcomes: Sequence[float],
     trials: int,
     exact_masses: bool,
-) -> Iterator[Sequence[TrajectoryRow]]:
+) -> Iterator[Iterable[TrajectoryRow]]:
     """The rows of iterations 0..trials, one iteration at a time, from
     iteration 1's classes (first); only the current classes are held."""
     theories = tuple(priors)
@@ -639,7 +604,8 @@ def confirmation_experiment(
     classes = {((0,) * len(outcomes), None): [1 if exact_masses else Fraction(1), priors]}
     first = _grow(classes, steps[0][0]) if trials else classes
     return TrajectoryReport(
-        theories=theories,
-        trials=trials,
+        None,
+        theories,
+        trials,
         new_pass=partial(_trajectory, cred.priors, first, steps, outcomes, trials, exact_masses),
     )

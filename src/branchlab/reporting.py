@@ -120,13 +120,13 @@ def _trajectory_text(report: TrajectoryReport, fmt: str) -> Iterator[str]:
     order, all through one format string.  A Fraction mass floats by one int
     division, and a Credences mapping gives the floats its row was merged
     on: both are correctly rounded, so they print as float(Fraction) would;
-    other credences (the iteration-0 priors) are floated by the format.  A TrajectoryIteration
-    gives these numbers without building its rows.  Every body cell is an
-    int, a label of ';' and ':' joined numbers or a 12-significant-digit
-    float, so none needs CSV quoting or json escaping; the header goes
-    through csv.writer, which quotes a theory name where it must.  A table
-    takes two passes, the first for its column widths, and json prints the
-    bytes json.dumps(records, indent=2) gives.
+    other credences (the iteration-0 priors) are floated by the format.  A
+    TrajectoryIteration gives these numbers without building its rows.
+    Every body cell is an int, a label of ';' and ':' joined numbers or a
+    12-significant-digit float, so none needs CSV quoting or json escaping;
+    the header goes through csv.writer, which quotes a theory name where it
+    must.  A table keeps its csv text to pad once its column widths are
+    known, and json prints the bytes json.dumps(records, indent=2) gives.
     """
     theories = report.theories
     fields = ["iteration", "outcome_class", "caring_mass", *(f"credence_{t}" for t in theories)]
@@ -156,16 +156,20 @@ def _trajectory_text(report: TrajectoryReport, fmt: str) -> Iterator[str]:
         for rows in report.iterations():
             yield "".join([line % r for r in numbers(rows)])
     elif fmt == "table":
+        # The widths precede every row, so the pass that measures them keeps
+        # each iteration's csv text, which the cells are then padded from:
+        # memory grows with the text, not with the rows.
         widths = [len(f) for f in fields]
+        blocks = []
         for rows in report.iterations():
-            for k, cells in enumerate(zip(*[(line % r).split(",") for r in numbers(rows)])):
+            lines = [line % r for r in numbers(rows)]
+            for k, cells in enumerate(zip(*[text.split(",") for text in lines])):
                 widths[k] = max(widths[k], *map(len, cells))
-        yield "  ".join(name.ljust(w) for name, w in zip(fields, widths)).rstrip() + "\n"
-        # ljust each cell through its conversion's width: %-Nd, %-Ns, %-N.12g.
-        specs = ["d", "s", *[".12g"] * (len(fields) - 2)]
-        padded = "  ".join(f"%-{w}{spec}" for w, spec in zip(widths, specs))
-        for rows in report.iterations():
-            yield "".join([(padded % r).rstrip() + "\n" for r in numbers(rows)])
+            blocks.append("\n".join(lines))
+        padded = "  ".join(f"%-{w}s" for w in widths)
+        yield (padded % tuple(fields)).rstrip() + "\n"
+        for block in blocks:
+            yield "".join([(padded % tuple(text.split(","))).rstrip() + "\n" for text in block.splitlines()])
     else:
         # The records json.dumps(records, indent=2) would print, with an int
         # as itself and any other number as its 12-digit cell read back.  A

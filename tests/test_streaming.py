@@ -7,7 +7,6 @@ iteration is written before the next one is grown, and that a deep run's
 memory stays flat.
 """
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -143,7 +142,7 @@ def test_bad_theories_file_prints_no_row_before_its_error(theories, fmt):
     assert "iteration" not in result.output and "Traceback" not in result.output
 
 
-def readme_report(depth):
+def readme_inputs():
     cred = CredenceState(
         priors={"born": Fraction(1, 2), "skew": Fraction(1, 2)},
         likelihoods={
@@ -151,7 +150,11 @@ def readme_report(depth):
             "skew": {1.0: Fraction(9, 10), 2.0: Fraction(1, 10)},
         },
     )
-    return confirmation_experiment(cred, weighted_game((Fraction(1, 3), Fraction(2, 3)), (10, 0)), Born(), depth)
+    return cred, weighted_game((Fraction(1, 3), Fraction(2, 3)), (10, 0)), Born()
+
+
+def readme_report(depth):
+    return confirmation_experiment(*readme_inputs(), depth)
 
 
 def test_emit_writes_each_iteration_before_growing_the_next(monkeypatch):
@@ -173,6 +176,29 @@ def test_emit_writes_each_iteration_before_growing_the_next(monkeypatch):
     assert float(report.final_mass_above("born", 0.5)) > 0 and len(grows) == 6
 
 
+def test_rows_at_an_earlier_iteration_stops_its_pass_there(monkeypatch):
+    grows = []
+    grow = confirmation._grow
+
+    def counting_grow(classes, step):
+        grows.append(None)
+        return grow(classes, step)
+
+    monkeypatch.setattr(confirmation, "_grow", counting_grow)
+    report = readme_report(8)
+    reference = reference_experiment(*readme_inputs(), 8)
+    grows.clear()
+    assert report.rows_at(3) == reference.rows_at(3) and len(grows) == 2  # iterations 2 and 3
+    assert report.rows_at(0) == reference.rows_at(0) and report.rows_at(9) == [] and report.rows_at(-1) == []
+    assert report.mean_credence("born", 5) == reference.mean_credence("born", 5)
+
+
+def test_a_report_of_given_rows_takes_positional_arguments():
+    rows = (TrajectoryRow(0, (), Fraction(1), {"a": Fraction(1)}), TrajectoryRow(1, ((1.0, 1),), Fraction(1), {"a": 1}))
+    report = TrajectoryReport(rows, ("a",), 1)
+    assert report.rows == rows and report.rows_at(1) == [rows[1]] and report.mean_credence("a", 0) == 1
+
+
 def test_streamed_pieces_join_to_emitted_bytes():
     report = readme_report(12)
     for fmt in ("csv", "json", "table"):
@@ -180,17 +206,6 @@ def test_streamed_pieces_join_to_emitted_bytes():
         assert emit(report, fmt, pieces.append) is None
         assert "".join(pieces).encode() == emit(report, fmt)
         assert len(pieces) == 14  # a header, or json's closing, and one piece per iteration
-
-
-def test_rows_over_a_scale_equal_and_replace_like_plain_rows():
-    credences = {"a": Fraction(1, 3), "b": Fraction(2, 3)}
-    lazy = TrajectoryRow.over(12, 2, ((1.0, 2),), 4, credences, False)
-    plain = TrajectoryRow(2, ((1.0, 2),), Fraction(1, 3), credences)
-    assert lazy == plain and plain == lazy and repr(lazy) == repr(plain)
-    assert type(lazy.caring_mass) is Fraction and lazy.caring_mass == Fraction(1, 3)
-    assert dataclasses.replace(lazy, caring_mass=Fraction(1, 2)) == dataclasses.replace(plain, caring_mass=Fraction(1, 2))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        lazy.iteration = 3
 
 
 def test_json_edge_values_match_reference():
