@@ -578,7 +578,7 @@ def confirmation_experiment(
 
     theories = cred.theories()
     step_masses = [
-        caring_measure(strategy, branch(game, realization)).by_outcome() for game, realization in games
+        caring_measure(strategy, branch(game, realization)).masses for game, realization in games
     ]
     outcomes = sorted({x for masses in step_masses for x in masses})
     axis = {x: i for i, x in enumerate(outcomes)}
@@ -597,10 +597,9 @@ def confirmation_experiment(
     exact_masses = all(isinstance(m, (int, Fraction)) for masses in step_masses for m in masses.values())
     steps = []
     for masses in step_masses:
-        xs = sorted(masses)
-        ms = [masses[x] for x in xs]
+        ms = list(masses.values())
         ms, scale = _integers(ms) if exact_masses else (ms, 1)
-        steps.append(([(axis[x], m, likelihoods[x]) for x, m in zip(xs, ms)], scale))
+        steps.append(([(axis[x], m, likelihoods[x]) for x, m in zip(masses, ms)], scale))
     classes = {((0,) * len(outcomes), None): [1 if exact_masses else Fraction(1), priors]}
     first = _grow(classes, steps[0][0]) if trials else classes
     return TrajectoryReport(

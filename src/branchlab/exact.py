@@ -28,9 +28,9 @@ def _sign(q: Fraction) -> int:
 class SqrtRational:
     """A real number of the form ``sign * sqrt(radicand)`` with rational radicand.
 
-    Closed under multiplication, negation and division by sqrt of a positive
-    rational.  Squaring is exact.  Addition is not closed and is deliberately
-    not provided; callers that need sums drop to float first.
+    Closed under division by sqrt of a positive rational.  Squaring is
+    exact.  Addition is not closed and is deliberately not provided;
+    callers that need sums drop to float first.
     """
 
     sign: int
@@ -58,28 +58,12 @@ class SqrtRational:
             raise ValueError(f"no real square root of {q}")
         return cls(_sign(q), q)
 
-    @classmethod
-    def rational(cls, value: Radicand) -> "SqrtRational":
-        """An exact rational, stored as sign * sqrt(value**2)."""
-        q = Fraction(value)
-        return cls(_sign(q), q * q)
-
     @property
     def squared(self) -> Fraction:
         return self.radicand
 
     def __float__(self) -> float:
         return self.sign * math.sqrt(self.radicand)
-
-    def __neg__(self) -> "SqrtRational":
-        return SqrtRational(-self.sign, self.radicand)
-
-    def __mul__(self, other: "SqrtRational") -> "SqrtRational":
-        if not isinstance(other, SqrtRational):
-            return NotImplemented
-        sign = self.sign * other.sign
-        rad = self.radicand * other.radicand if sign else Fraction(0)
-        return SqrtRational(sign, rad)
 
     def div_sqrt(self, k: Radicand) -> "SqrtRational":
         """Divide by sqrt(k) for a positive rational k, staying exact."""
@@ -89,6 +73,3 @@ class SqrtRational:
         if self.sign == 0:
             return self
         return SqrtRational(self.sign, self.radicand / q)
-
-    def is_zero(self) -> bool:
-        return self.sign == 0

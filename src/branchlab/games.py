@@ -49,26 +49,12 @@ class Amplitude:
         """Real amplitude sqrt(value) for a nonnegative rational value."""
         return cls(SqrtRational.sqrt(Fraction(value)))
 
-    @classmethod
-    def rational(cls, value: Number) -> "Amplitude":
-        return cls(SqrtRational.rational(Fraction(value)))
-
-    @classmethod
-    def of(cls, z: complex) -> "Amplitude":
-        """Float-backed amplitude from a python complex or real number."""
-        z = complex(z)
-        return cls(z.real, z.imag)
-
     @property
     def abs2(self) -> Union[Fraction, float]:
         a, b = _square(self.re), _square(self.im)
         if isinstance(a, Fraction) and isinstance(b, Fraction):
             return a + b
         return float(a) + float(b)
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.re, SqrtRational) and isinstance(self.im, SqrtRational)
 
     def div_sqrt(self, k: Number) -> "Amplitude":
         """Divide by sqrt(k), k a positive rational; exactness is preserved."""
@@ -83,12 +69,6 @@ class Amplitude:
             return x / root
 
         return Amplitude(scale(self.re), scale(self.im))
-
-    def re_float(self) -> float:
-        return float(self.re)
-
-    def im_float(self) -> float:
-        return float(self.im)
 
 
 @dataclass(frozen=True)
@@ -112,20 +92,12 @@ class PureState:
         amps = tuple(Amplitude.sqrt(Fraction(w)) for w in weights)
         return cls(tuple(labels), amps)
 
-    @classmethod
-    def equal_superposition(cls, labels: Sequence[str]) -> "PureState":
-        n = len(labels)
-        return cls.from_weights(labels, [Fraction(1, n)] * n)
-
     @property
     def norm_squared(self) -> Union[Fraction, float]:
         total: Union[Fraction, float] = Fraction(0)
         for a in self.amplitudes:
             total = total + a.abs2
         return total
-
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(float(self.norm_squared) - 1.0) <= tol
 
 
 @dataclass(frozen=True)
@@ -323,7 +295,7 @@ def equal_game(n: int, utilities: Sequence[Number]) -> QuantumGame:
 def game_to_json_dict(game: QuantumGame) -> dict:
     return {
         "state": [
-            {"label": l, "re": a.re_float(), "im": a.im_float()}
+            {"label": l, "re": float(a.re), "im": float(a.im)}
             for l, a in zip(game.state.basis_labels, game.state.amplitudes)
         ],
         "observable": {

@@ -1,8 +1,9 @@
 """Rival rationality strategies as caring measures over branch trees.
 
-A strategy assigns a normalized measure over the parts of a branch tree it
-considers the bearers of value (leaves, occupied cells, or outcomes), and
-hence a cash value to any game.  The reference strategy weighs branches by
+A strategy cares about the parts of a branch tree it considers the bearers
+of value (leaves, occupied cells, or outcomes); summed per outcome, that
+care is a normalized measure over outcomes, and hence a cash value to any
+game.  The reference strategy weighs branches by
 squared amplitude; the rivals implemented here weigh them by count, by
 squared weight, or by eigenvalue magnitude.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .branching import BranchTree, branch
 from .exact import Number
@@ -88,66 +89,61 @@ def game_key(game: QuantumGame, realization: MeasurementRealization | None = Non
 
 @dataclass(frozen=True)
 class CaringMeasure:
-    """A normalized measure over strategy-chosen identifiers.
+    """A strategy's normalized care, as a measure over outcomes.
 
-    Identifiers are leaf indices for weight-based strategies, (leaf, cell)
-    pairs for the count-based one, and outcomes for the eigenvalue-based one.
-    The mass of a run-length leaf (or of its cell) covers every branch in the
-    run.  by_outcome() is the common view used for valuation.
+    Only the care summed per outcome enters a value, so masses maps each
+    outcome the tree can show to that sum, outcomes in ascending order.  The
+    mass of a run-length leaf (or of its cells) covers every branch in the
+    run.
     """
 
-    masses: Mapping[Hashable, Number]
-    outcome_of: Mapping[Hashable, float]
+    masses: Mapping[float, Number]
 
     def total(self) -> Number:
         return sum(self.masses.values(), Fraction(0))
 
     def by_outcome(self) -> dict[float, Number]:
-        agg: dict[float, Number] = {}
-        for key, mass in self.masses.items():
-            outcome = self.outcome_of[key]
-            agg[outcome] = agg.get(outcome, Fraction(0)) + mass
-        return agg
+        return dict(self.masses)
+
+
+def _per_outcome(pairs: Iterable[tuple[float, Number]]) -> dict[float, Number]:
+    """Masses summed per outcome from Fraction(0) in the order given, outcomes ascending."""
+    agg: dict[float, Number] = {}
+    for outcome, mass in pairs:
+        agg[outcome] = agg.get(outcome, Fraction(0)) + mass
+    return dict(sorted(agg.items()))
 
 
 def caring_measure(strategy: Strategy, tree: BranchTree) -> CaringMeasure:
-    """The strategy's normalized care over the given tree."""
+    """The strategy's normalized care over the given tree, as a measure over outcomes."""
     if isinstance(strategy, Born):
-        masses = {i: leaf.weight * leaf.multiplicity for i, leaf in enumerate(tree.leaves)}
-        outcomes = {i: leaf.outcome for i, leaf in enumerate(tree.leaves)}
-        return CaringMeasure(masses, outcomes)
+        weights = ((leaf.outcome, leaf.weight * leaf.multiplicity) for leaf in tree.leaves)
+        return CaringMeasure(_per_outcome(weights))
 
     if isinstance(strategy, Egalitarian):
-        occupied = {
-            (i, j): leaf.multiplicity
-            for i, leaf in enumerate(tree.leaves)
-            for j, cell in enumerate(leaf.cells)
-            if float(cell) > strategy.tau
-        }
-        if not occupied:
+        counts: dict[float, int] = {}
+        for leaf in tree.leaves:
+            occupied = sum(leaf.multiplicity for cell in leaf.cells if float(cell) > strategy.tau)
+            if occupied:
+                counts[leaf.outcome] = counts.get(leaf.outcome, 0) + occupied
+        if not counts:
             raise ValueError("no cells above tau; egalitarian care undefined")
-        share = Fraction(1, sum(occupied.values()))
-        masses = {key: count * share for key, count in occupied.items()}
-        outcomes = {key: tree.leaves[key[0]].outcome for key in occupied}
-        return CaringMeasure(masses, outcomes)
+        share = Fraction(1, sum(counts.values()))
+        return CaringMeasure({x: count * share for x, count in sorted(counts.items())})
 
     if isinstance(strategy, SquaredWeightRenormalized):
-        squares = {
-            i: leaf.weight * leaf.weight * leaf.multiplicity for i, leaf in enumerate(tree.leaves)
-        }
-        total = sum(squares.values(), Fraction(0))
-        masses = {i: sq / total for i, sq in squares.items()}
-        outcomes = {i: leaf.outcome for i, leaf in enumerate(tree.leaves)}
-        return CaringMeasure(masses, outcomes)
+        squares = [
+            (leaf.outcome, leaf.weight * leaf.weight * leaf.multiplicity) for leaf in tree.leaves
+        ]
+        total = sum((sq for _, sq in squares), Fraction(0))
+        return CaringMeasure(_per_outcome((x, sq / total) for x, sq in squares))
 
     if isinstance(strategy, EigenvalueWeighted):
         magnitudes = {leaf.outcome: Fraction(abs(leaf.outcome)) for leaf in tree.leaves}
         total = sum(magnitudes.values(), Fraction(0))
         if total == 0:
             raise ValueError("all eigenvalues are zero; eigenvalue care undefined")
-        masses = {x: m / total for x, m in magnitudes.items()}
-        outcomes = {x: x for x in magnitudes}
-        return CaringMeasure(masses, outcomes)
+        return CaringMeasure({x: m / total for x, m in sorted(magnitudes.items())})
 
     if isinstance(strategy, TablePreference):
         raise ValueError("a table preference ranks games directly and has no caring measure")
@@ -156,33 +152,25 @@ def caring_measure(strategy: Strategy, tree: BranchTree) -> CaringMeasure:
 
 
 def _exact_utility(u: Number) -> Number:
+    """u as an exact number: an int or Fraction as it is, a float as the Fraction of its value."""
     return u if isinstance(u, (int, Fraction)) else Fraction(u)
 
 
-def _care_by_outcome(strategy: Strategy, tree: BranchTree) -> tuple[tuple[float, Number], ...]:
-    """The strategy's care over the tree, summed per outcome, in outcome order.
-
-    It depends on the tree alone, not on any payoff, so one care prices every
-    payoff staked on the same tree.  A table preference has no caring measure
-    and raises ValueError.
-    """
-    return tuple(sorted(caring_measure(strategy, tree).by_outcome().items()))
+def _exact_payoff(payoff: PayoffFunction) -> Callable[[float], Number]:
+    """The payoff's utility by outcome, each made exact as it is priced."""
+    return lambda x: _exact_utility(payoff.utility(x))
 
 
-def _price(care: Sequence[tuple[float, Number]], utility: Callable[[float], Number]) -> Number:
+def _price(care: CaringMeasure, utility: Callable[[float], Number]) -> Number:
     """Value of a payoff against care by outcome: the sum of mass(x) * u(x).
 
-    Utilities enter as exact rationals, so with rational masses the value is
-    exact and identities like realization-independence hold to the last bit.
+    Utilities are exact, so with rational masses the value is exact and
+    identities like realization-independence hold to the last bit.
     """
     total: Number = Fraction(0)
-    for outcome, mass in care:
-        total = total + mass * _exact_utility(utility(outcome))
+    for outcome, mass in care.masses.items():
+        total = total + mass * utility(outcome)
     return total
-
-
-def _tree_value_exact(strategy: Strategy, tree: BranchTree, payoff: PayoffFunction) -> Number:
-    return _price(_care_by_outcome(strategy, tree), payoff.utility)
 
 
 def value_game(
@@ -206,7 +194,7 @@ def _value_game_exact(
     if isinstance(strategy, TablePreference):
         return strategy.rank_value(game_key(game, realization))
     tree = branch(game, realization, fine_dim=fine_dim, grain=grain)
-    return _tree_value_exact(strategy, tree, game.payoff)
+    return _price(caring_measure(strategy, tree), _exact_payoff(game.payoff))
 
 
 def mn_violation(
@@ -216,7 +204,7 @@ def mn_violation(
     fine_dim: int = 1,
     grain: float = 1e-9,
 ) -> float:
-    """Largest pairwise value gap across realizations of the same game.
+    """Largest value gap across realizations of the same game: max minus min.
 
     Zero (within tolerance) means the strategy is indifferent to how the
     measurement is carried out on this game and realization set.
@@ -227,13 +215,7 @@ def mn_violation(
         _value_game_exact(strategy, game, r, fine_dim=fine_dim, grain=grain)
         for r in realizations
     ]
-    worst: Number = Fraction(0)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            gap = abs(values[i] - values[j])
-            if gap > worst:
-                worst = gap
-    return float(worst)
+    return float(max(values) - min(values))
 
 
 def parse_strategy(text: str) -> Strategy:

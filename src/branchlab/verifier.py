@@ -39,10 +39,11 @@ from .strategies import (
     Born,
     Egalitarian,
     Strategy,
-    _care_by_outcome,
+    _exact_payoff,
+    _exact_utility,
     _price,
-    _tree_value_exact,
     _value_game_exact,
+    caring_measure,
 )
 
 
@@ -122,23 +123,53 @@ def _staked(outcomes: tuple[float, ...], us: Sequence[Number]) -> Callable[[floa
     return dict(zip(outcomes, us)).__getitem__
 
 
-def _equal_care(
-    strategy: Strategy, n: int, payoffs: Sequence[Sequence[Number]]
-) -> tuple[tuple[tuple[float, Number], ...], tuple[float, ...]]:
-    """Care over the equal n-branch tree and its outcomes, built once for all payoffs.
+def _check_payoff_count(payoff_count: int) -> None:
+    if payoff_count < 1:
+        raise ValueError(f"payoff count must be at least 1, got {payoff_count}")
 
-    The state, and hence its branch tree and the strategy's care, do not depend
-    on the utilities, so the game staking the first payoff stands for them all.
+
+def _verify_equal(
+    strategy: Strategy,
+    n: int,
+    payoffs: Sequence[Sequence[Number]],
+    stage: str,
+    size: str | int,
+    case: Callable[[Sequence[Number]], dict],
+) -> StageReport:
+    """Equal n-branch game: each payoff's value must be its mean utility.
+
+    The care does not depend on the utilities, so the game staking the first
+    payoff is branched once for them all.  Each payoff is made exact once;
+    case(us) opens its case, and size names n in the details.
     """
     if not payoffs:
         raise ValueError("need at least one payoff")
     game = equal_game(n, payoffs[0])
-    return _care_by_outcome(strategy, branch(game, Direct())), _outcomes(game)
-
-
-def _check_payoff_count(payoff_count: int) -> None:
-    if payoff_count < 1:
-        raise ValueError(f"payoff count must be at least 1, got {payoff_count}")
+    care = caring_measure(strategy, branch(game, Direct()))
+    outcomes = _outcomes(game)
+    worst: Number = Fraction(0)
+    cases = []
+    for us in payoffs:
+        exact = tuple(map(_exact_utility, us))
+        value = _price(care, _staked(outcomes, exact))
+        expected = Fraction(sum(exact), n)
+        residual = abs(value - expected)
+        worst = max(worst, residual)
+        cases.append(
+            {
+                **case(us),
+                "value": float(value),
+                "expected": float(expected),
+                "residual": float(residual),
+            }
+        )
+    return StageReport(
+        stage=stage,
+        passed=float(worst) <= STAGE_TOL,
+        residual=float(worst),
+        details=f"equal {size}-branch sweep over {len(cases)} payoffs",
+        cases=tuple(cases),
+    )
 
 
 def verify_stage1(
@@ -149,40 +180,16 @@ def verify_stage1(
 ) -> StageReport:
     """Equal two-branch game: value must be the average of the two utilities.
 
-    The equal two-branch game is branched, and the strategy's care taken,
-    once; each payoff is then priced against that care in exact arithmetic.
-    Without explicit payoffs, two pinned cases precede payoff_count random
-    ones; a count below 1, an empty payoff list or a payoff without exactly
-    two utilities raises ValueError.
+    This is stage 2 at n = 2.  Without explicit payoffs, two pinned cases
+    precede payoff_count random ones; a count below 1, an empty payoff list
+    or a payoff without exactly two utilities raises ValueError.
     """
     if payoffs is None:
         _check_payoff_count(payoff_count)
         payoffs = [(Fraction(0), Fraction(1)), (Fraction(7), Fraction(7))]
         payoffs += random_rational_payoffs(payoff_count, 2, seed)
-    care, outcomes = _equal_care(strategy, 2, payoffs)
-    worst: Number = Fraction(0)
-    cases = []
-    for us in payoffs:
-        value = _price(care, _staked(outcomes, us))
-        u1, u2 = us
-        expected = Fraction(u1 + u2, 2) if isinstance(u1 + u2, (int, Fraction)) else (u1 + u2) / 2
-        residual = abs(value - expected)
-        worst = max(worst, residual)
-        cases.append(
-            {
-                "u1": float(u1),
-                "u2": float(u2),
-                "value": float(value),
-                "expected": float(expected),
-                "residual": float(residual),
-            }
-        )
-    return StageReport(
-        stage="S1",
-        passed=float(worst) <= STAGE_TOL,
-        residual=float(worst),
-        details=f"equal two-branch sweep over {len(cases)} payoffs",
-        cases=tuple(cases),
+    return _verify_equal(
+        strategy, 2, payoffs, "S1", "two", lambda us: {"u1": float(us[0]), "u2": float(us[1])}
     )
 
 
@@ -206,30 +213,8 @@ def verify_stage2(
     if payoffs is None:
         _check_payoff_count(payoff_count)
         payoffs = random_rational_payoffs(payoff_count, n, seed + n)
-    care, outcomes = _equal_care(strategy, n, payoffs)
-    worst: Number = Fraction(0)
-    cases = []
-    for us in payoffs:
-        value = _price(care, _staked(outcomes, us))
-        total = sum(us, Fraction(0))
-        expected = total / n if isinstance(total, float) else Fraction(total, n)
-        residual = abs(value - expected)
-        worst = max(worst, residual)
-        cases.append(
-            {
-                "n": n,
-                "utilities": [float(u) for u in us],
-                "value": float(value),
-                "expected": float(expected),
-                "residual": float(residual),
-            }
-        )
-    return StageReport(
-        stage="S2",
-        passed=float(worst) <= STAGE_TOL,
-        residual=float(worst),
-        details=f"equal {n}-branch sweep over {len(cases)} payoffs",
-        cases=tuple(cases),
+    return _verify_equal(
+        strategy, n, payoffs, "S2", n, lambda us: {"n": n, "utilities": [float(u) for u in us]}
     )
 
 
@@ -260,19 +245,18 @@ def verify_stage3(
     equal_share = Fraction(1, n)
     if any(leaf.weight != equal_share for leaf in tree.leaves):
         raise AssertionError("ancilla coupling failed to produce equal branches")
-    ancilla_care = _care_by_outcome(strategy, tree)
-    direct_care = _care_by_outcome(strategy, branch(game, Direct()))
+    ancilla_care = caring_measure(strategy, tree)
+    direct_care = caring_measure(strategy, branch(game, Direct()))
     outcomes = _outcomes(game)
     worst: Number = Fraction(0)
     cases = []
     for us in payoffs:
-        utility = _staked(outcomes, us)
+        exact = tuple(map(_exact_utility, us))
+        utility = _staked(outcomes, exact)
         ancilla_value = _price(ancilla_care, utility)
         direct_value = _price(direct_care, utility)
-        u1, u2 = us
-        u1x = u1 if isinstance(u1, (int, Fraction)) else Fraction(u1)
-        u2x = u2 if isinstance(u2, (int, Fraction)) else Fraction(u2)
-        expected = Fraction(m * u1x + (n - m) * u2x, n)
+        u1, u2 = exact
+        expected = Fraction(m * u1 + (n - m) * u2, n)
         value_residual = abs(ancilla_value - expected)
         mn_delta = abs(direct_value - ancilla_value)
         worst = max(worst, value_residual, mn_delta)
@@ -405,7 +389,7 @@ def reduce_by_pairwise_coupling(strategy: Strategy, game: QuantumGame) -> tuple[
 
     def recurse(parts: list[tuple[Fraction, float]]) -> Number:
         if len(parts) == 1:
-            return Fraction(game.payoff.utility(parts[0][1]))
+            return game.payoff.utility(parts[0][1])
         total = sum((w for w, _ in parts), Fraction(0))
         w1, x1 = parts[0]
         share = w1 / total
@@ -414,7 +398,7 @@ def reduce_by_pairwise_coupling(strategy: Strategy, game: QuantumGame) -> tuple[
         rest_value = recurse(parts[1:])
         sub = weighted_game(
             (share, 1 - share),
-            (Fraction(game.payoff.utility(x1)), rest_value),
+            (game.payoff.utility(x1), rest_value),
             eigenvalues=(1.0, 2.0),
         )
         return _value_game_exact(strategy, sub, AncillaCoupled(m, n))
@@ -447,6 +431,7 @@ def egalitarian_incoherence_demo(
     egal = Egalitarian(tau=egal_tau if egal_tau is not None else grain)
     born = Born()
     tree = branch(game, Direct(), fine_dim=fine_dim, grain=grain)
+    utility = _exact_payoff(game.payoff)
 
     def snapshot(step: int, operation: str, t: BranchTree) -> dict:
         weights = outcome_weights(t)
@@ -455,8 +440,8 @@ def egalitarian_incoherence_demo(
             "operation": operation,
             "counts": {repr(float(x)): count_branches(t, x) for x in sorted(weights)},
             "outcome_weights": {repr(float(x)): float(w) for x, w in sorted(weights.items())},
-            "egalitarian_value": float(_tree_value_exact(egal, t, game.payoff)),
-            "born_value": float(_tree_value_exact(born, t, game.payoff)),
+            "egalitarian_value": float(_price(caring_measure(egal, t), utility)),
+            "born_value": float(_price(caring_measure(born, t), utility)),
         }
 
     cases = [snapshot(0, "initial", tree)]
