@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterator
 
-from .exact import Number
+from .exact import Number, _exact_dot, _exact_sum, _exact_sums
 from .games import (
     AncillaCoupled,
     Direct,
@@ -52,7 +52,7 @@ class BranchLeaf:
             raise ValueError(f"multiplicity must be at least 1, got {self.multiplicity!r}")
         if not self.cells:
             raise ValueError("a leaf needs at least one cell")
-        drift = abs(float(sum(self.cells)) - float(self.weight))
+        drift = abs(float(_exact_sum(self.cells)) - float(self.weight))
         if drift > 1e-9:
             raise ValueError(f"cells must sum to the leaf weight (off by {drift!r})")
 
@@ -68,7 +68,8 @@ class BranchTree:
             raise ValueError("grain threshold must be positive")
         if self.fine_dim < 1:
             raise ValueError("fine_dim must be at least 1")
-        total = float(sum(leaf.weight * leaf.multiplicity for leaf in self.leaves))
+        leaves = self.leaves
+        total = float(_exact_dot([leaf.weight for leaf in leaves], [leaf.multiplicity for leaf in leaves]))
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"leaf weights must sum to 1, got {total!r}")
         for leaf in self.leaves:
@@ -152,10 +153,7 @@ def branch(
 
 def outcome_weights(tree: BranchTree) -> dict[float, Number]:
     """Total weight per outcome, summed over leaves."""
-    totals: dict[float, Number] = {}
-    for leaf in tree.leaves:
-        totals[leaf.outcome] = totals.get(leaf.outcome, Fraction(0)) + leaf.weight * leaf.multiplicity
-    return totals
+    return _exact_sums((leaf.outcome, leaf.weight * leaf.multiplicity) for leaf in tree.leaves)
 
 
 def count_branches(tree: BranchTree, outcome: float) -> int:
@@ -223,9 +221,7 @@ def coarse_grain(tree: BranchTree, factor: int) -> BranchTree:
     new_dim = tree.fine_dim // factor
     new_leaves = []
     for leaf in tree.leaves:
-        cells = tuple(
-            sum(leaf.cells[k * factor:(k + 1) * factor], Fraction(0)) for k in range(new_dim)
-        )
+        cells = tuple(_exact_sum(leaf.cells[k * factor:(k + 1) * factor]) for k in range(new_dim))
         new_leaves.append(replace(leaf, cells=cells))
     return BranchTree(leaves=tuple(new_leaves), grain=tree.grain, fine_dim=new_dim)
 

@@ -10,7 +10,6 @@ ends up investing in branches where the true theory is highly credible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -19,7 +18,7 @@ from operator import mul
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .branching import BranchLeaf, BranchTree, branch
-from .exact import Number
+from .exact import Number, _exact_dot, _exact_sum, _integers
 from .games import Direct, MeasurementRealization, QuantumGame
 from .strategies import Strategy, TablePreference, caring_measure
 
@@ -420,25 +419,15 @@ class TrajectoryReport:
     def final_mass_above(self, theory: str, threshold: float) -> Number:
         """Caring mass of final branches whose credence in the theory exceeds
         the threshold."""
-        mass: Number = Fraction(0)
-        for row in self.rows_at(self.trials):
-            c = row.credences
-            if (c.as_float(theory) if isinstance(c, Credences) else float(c[theory])) > threshold:
-                mass = mass + row.caring_mass
-        return mass
+        def above(c) -> bool:
+            return (c.as_float(theory) if isinstance(c, Credences) else float(c[theory])) > threshold
+
+        return _exact_sum([row.caring_mass for row in self.rows_at(self.trials) if above(row.credences)])
 
     def mean_credence(self, theory: str, iteration: int) -> Number:
         """Caring-weighted mean credence in the theory at an iteration."""
-        total: Number = Fraction(0)
-        for row in self.rows_at(iteration):
-            total = total + row.caring_mass * row.credences[theory]
-        return total
-
-
-def _integers(values: Sequence[int | Fraction]) -> tuple[tuple[int, ...], int]:
-    """The values times the lcm of their denominators, and that lcm."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
+        rows = self.rows_at(iteration)
+        return _exact_dot([row.caring_mass for row in rows], [row.credences[theory] for row in rows])
 
 
 def _grow(classes: dict, step: Sequence[tuple[int, Number, tuple | None]]) -> dict:

@@ -1,8 +1,13 @@
-"""Exact arithmetic for square roots of rationals.
+"""Exact arithmetic: square roots of rationals, and exact sums.
 
 Amplitudes in this package are typically square roots of rational numbers,
-so their squared magnitudes are exact fractions.  This module provides the
-one value type needed for that bookkeeping.
+so their squared magnitudes are exact fractions; SqrtRational is the value
+type for that bookkeeping.  Sums of exact numbers (weights, masses, prices)
+are taken by _exact_sum and _exact_dot on one common denominator: one lcm of
+the denominators, one integer sum and one Fraction, where a left fold of
+Fraction additions would reduce by a gcd at every step.  Each returns the
+value, type and float bits of that fold from Fraction(0), float terms
+included.
 """
 
 from __future__ import annotations
@@ -10,7 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from functools import reduce
+from itertools import starmap
+from operator import add, mul
+from typing import Hashable, Iterable, Sequence, Union
 
 Radicand = Union[int, Fraction]
 Number = Union[int, float, Fraction]
@@ -73,3 +81,72 @@ class SqrtRational:
         if self.sign == 0:
             return self
         return SqrtRational(self.sign, self.radicand / q)
+
+
+# -- exact sums ------------------------------------------------------------------
+
+_RATIONAL = (int, Fraction)
+_ZERO = Fraction(0)
+
+
+def _integers(values: Sequence[Radicand]) -> tuple[tuple[int, ...], int]:
+    """The values times the lcm of their denominators, and that lcm."""
+    scale = math.lcm(*[v.denominator for v in values])
+    return tuple([v.numerator * (scale // v.denominator) for v in values]), scale
+
+
+def _exact_sum(terms: Iterable[Number]) -> Number:
+    """The left fold of + over terms from Fraction(0), on one common denominator.
+
+    The leading run of ints and Fractions is summed as integers over the lcm
+    of its denominators (a run of one is that term as a Fraction).  From the
+    first other term (a float) on, the fold goes on term by term as it would
+    have, so the result has the fold's value, type and float bits.
+    """
+    terms = terms if isinstance(terms, (list, tuple)) else list(terms)
+    k = 0
+    for t in terms:
+        if not isinstance(t, _RATIONAL):
+            break
+        k += 1
+    if k > 1:
+        nums, scale = _integers(terms[:k])
+        total: Number = Fraction(sum(nums), scale)
+    elif k:
+        total = terms[0] if type(terms[0]) is Fraction else Fraction(terms[0])
+    else:
+        total = _ZERO
+    tail = terms[k:]
+    if tail and type(tail[0]) is float:
+        total = float(total)  # what Fraction + float does first
+    return reduce(add, tail, total)
+
+
+def _exact_sums(pairs: Iterable[tuple[Hashable, Number]]) -> dict:
+    """Each key's terms summed by _exact_sum in the order given, keys in first-seen order."""
+    groups: dict = {}
+    for key, term in pairs:
+        groups.setdefault(key, []).append(term)
+    return {key: _exact_sum(terms) for key, terms in groups.items()}
+
+
+def _exact_dot(xs: Iterable[Number], ys: Iterable[Number]) -> Number:
+    """The left fold of total + x * y over pairs from Fraction(0), as _exact_sum takes it.
+
+    The leading run of pairs of ints and Fractions is summed as integers
+    over the lcm of the products' denominators.  From the first pair with
+    another term on, each product is formed and added as in the fold.
+    """
+    pairs = list(zip(xs, ys))
+    k = 0
+    for x, y in pairs:
+        if not (isinstance(x, _RATIONAL) and isinstance(y, _RATIONAL)):
+            break
+        k += 1
+    total: Number = _ZERO
+    if k:
+        head = pairs[:k]
+        dens = [x.denominator * y.denominator for x, y in head]
+        scale = math.lcm(*dens)
+        total = Fraction(sum([x.numerator * y.numerator * (scale // d) for (x, y), d in zip(head, dens)]), scale)
+    return reduce(add, starmap(mul, pairs[k:]), total)

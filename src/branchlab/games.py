@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .exact import Number, SqrtRational
+from .exact import Number, SqrtRational, _exact_sum, _exact_sums
 
 Real = Union[SqrtRational, float]
 
@@ -51,7 +51,10 @@ class Amplitude:
 
     @property
     def abs2(self) -> Union[Fraction, float]:
-        a, b = _square(self.re), _square(self.im)
+        a = _square(self.re)
+        if isinstance(self.im, SqrtRational) and not self.im.sign:
+            return a
+        b = _square(self.im)
         if isinstance(a, Fraction) and isinstance(b, Fraction):
             return a + b
         return float(a) + float(b)
@@ -94,10 +97,7 @@ class PureState:
 
     @property
     def norm_squared(self) -> Union[Fraction, float]:
-        total: Union[Fraction, float] = Fraction(0)
-        for a in self.amplitudes:
-            total = total + a.abs2
-        return total
+        return _exact_sum([a.abs2 for a in self.amplitudes])
 
 
 @dataclass(frozen=True)
@@ -175,17 +175,18 @@ def validate_game(game: QuantumGame) -> list[str]:
     eigenvalues present in the state's support.
     """
     report: list[str] = []
-    norm = float(game.state.norm_squared)
+    weights = [a.abs2 for a in game.state.amplitudes]
+    norm = float(_exact_sum(weights))
     if abs(norm - 1.0) > 1e-12:
         report.append(f"state not normalized: sum of squared amplitudes is {norm!r}")
     eigenvalues = game.observable.eigenvalues
     missing_eigen = [label for label in game.state.basis_labels if label not in eigenvalues]
     if missing_eigen:
         report.append(f"observable lacks eigenvalues for labels {missing_eigen}")
-    for label, amp in zip(game.state.basis_labels, game.state.amplitudes):
+    for label, w in zip(game.state.basis_labels, weights):
         if label in eigenvalues:
             x = eigenvalues[label]
-            if float(amp.abs2) > 0.0 and x not in game.payoff.consequences:
+            if float(w) > 0.0 and x not in game.payoff.consequences:
                 report.append(f"payoff missing eigenvalue {x!r} present in state support")
     return report
 
@@ -196,11 +197,10 @@ def born_weights(game: QuantumGame) -> dict[float, Union[Fraction, float]]:
     problems = validate_game(game)
     if problems:
         raise ValueError("invalid game: " + "; ".join(problems))
-    weights: dict[float, Union[Fraction, float]] = {}
-    for label, amp in zip(game.state.basis_labels, game.state.amplitudes):
-        x = game.observable.eigenvalue(label)
-        weights[x] = weights.get(x, Fraction(0)) + amp.abs2
-    return weights
+    eigenvalue = game.observable.eigenvalue
+    return _exact_sums(
+        (eigenvalue(label), amp.abs2) for label, amp in zip(game.state.basis_labels, game.state.amplitudes)
+    )
 
 
 def couple_ancilla(

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .branching import BranchTree, branch
-from .exact import Number
+from .exact import Number, _exact_dot, _exact_sum, _exact_sums
 from .games import (
     MeasurementRealization,
     PayoffFunction,
@@ -100,18 +100,15 @@ class CaringMeasure:
     masses: Mapping[float, Number]
 
     def total(self) -> Number:
-        return sum(self.masses.values(), Fraction(0))
+        return _exact_sum(self.masses.values())
 
     def by_outcome(self) -> dict[float, Number]:
         return dict(self.masses)
 
 
 def _per_outcome(pairs: Iterable[tuple[float, Number]]) -> dict[float, Number]:
-    """Masses summed per outcome from Fraction(0) in the order given, outcomes ascending."""
-    agg: dict[float, Number] = {}
-    for outcome, mass in pairs:
-        agg[outcome] = agg.get(outcome, Fraction(0)) + mass
-    return dict(sorted(agg.items()))
+    """Masses summed per outcome by _exact_sum in the order given, outcomes ascending."""
+    return dict(sorted(_exact_sums(pairs).items()))
 
 
 def caring_measure(strategy: Strategy, tree: BranchTree) -> CaringMeasure:
@@ -135,12 +132,12 @@ def caring_measure(strategy: Strategy, tree: BranchTree) -> CaringMeasure:
         squares = [
             (leaf.outcome, leaf.weight * leaf.weight * leaf.multiplicity) for leaf in tree.leaves
         ]
-        total = sum((sq for _, sq in squares), Fraction(0))
+        total = _exact_sum([sq for _, sq in squares])
         return CaringMeasure(_per_outcome((x, sq / total) for x, sq in squares))
 
     if isinstance(strategy, EigenvalueWeighted):
         magnitudes = {leaf.outcome: Fraction(abs(leaf.outcome)) for leaf in tree.leaves}
-        total = sum(magnitudes.values(), Fraction(0))
+        total = _exact_sum(magnitudes.values())
         if total == 0:
             raise ValueError("all eigenvalues are zero; eigenvalue care undefined")
         return CaringMeasure({x: m / total for x, m in sorted(magnitudes.items())})
@@ -165,12 +162,18 @@ def _price(care: CaringMeasure, utility: Callable[[float], Number]) -> Number:
     """Value of a payoff against care by outcome: the sum of mass(x) * u(x).
 
     Utilities are exact, so with rational masses the value is exact and
-    identities like realization-independence hold to the last bit.
+    identities like realization-independence hold to the last bit.  An
+    outcome of zero mass adds nothing and needs no utility; positive care on
+    an outcome without one raises ValueError.
     """
-    total: Number = Fraction(0)
-    for outcome, mass in care.masses.items():
-        total = total + mass * utility(outcome)
-    return total
+    cared = [(x, mass) for x, mass in care.masses.items() if mass]
+    utilities = []
+    for x, mass in cared:
+        try:
+            utilities.append(utility(x))
+        except KeyError:
+            raise ValueError(f"care {float(mass)!r} on outcome {x!r}, which has no payoff") from None
+    return _exact_dot([mass for _, mass in cared], utilities)
 
 
 def value_game(

@@ -12,6 +12,7 @@ demonstration shows why count-based care cannot survive regraining.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ from .branching import (
     outcome_weights,
     rotate_basis,
 )
-from .exact import Number
+from .exact import Number, _exact_sum
 from .games import (
     AncillaCoupled,
     Direct,
@@ -152,7 +153,7 @@ def _verify_equal(
     for us in payoffs:
         exact = tuple(map(_exact_utility, us))
         value = _price(care, _staked(outcomes, exact))
-        expected = Fraction(sum(exact), n)
+        expected = Fraction(_exact_sum(exact), n)
         residual = abs(value - expected)
         worst = max(worst, residual)
         cases.append(
@@ -298,8 +299,12 @@ def verify_stage_general(
     inconclusive, which is distinct from failure.  As in stage 3, the gap
     between an approximant's direct and ancilla values (its mn_delta) is
     folded into the residual: a gap above STAGE_TOL fails the stage whatever
-    the cap, since no larger cap closes it.
+    the cap, since no larger cap closes it.  A tolerance that is negative or
+    not finite raises ValueError: no residual could meet the one, and every
+    residual would meet the other.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     if not (0.0 < a1_squared < 1.0):
         raise ValueError("a1_squared must lie strictly between 0 and 1")
     if max_denominator < 2:
@@ -390,7 +395,7 @@ def reduce_by_pairwise_coupling(strategy: Strategy, game: QuantumGame) -> tuple[
     def recurse(parts: list[tuple[Fraction, float]]) -> Number:
         if len(parts) == 1:
             return game.payoff.utility(parts[0][1])
-        total = sum((w for w, _ in parts), Fraction(0))
+        total = _exact_sum([w for w, _ in parts])
         w1, x1 = parts[0]
         share = w1 / total
         m, n = share.numerator, share.denominator
