@@ -2,8 +2,13 @@
 
 One binary, subcommand style.  Every run is a pure function of its arguments
 and input files: fixed seeds drive all sweeps, and output bytes are stable
-across runs.  Exit codes: 0 on success or a passing check, 1 on a failed
-check, 2 on usage or validation errors.
+across runs.  Every subcommand prints its report through reporting.emit in
+the --format asked for (json by default; csv for confirm run and for
+extract's round-trip sweep), to stdout or to the --out file, then its
+summary line if it has one.  confirm run streams its trajectory as it is
+computed; every other report is rendered whole and written by _report.
+Exit codes: 0 on success or a passing check, 1 on a failed check, 2 on
+usage or validation errors.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NoReturn
 
 import click
 
@@ -27,14 +32,14 @@ from .confirmation import (
     evaluate_book_on_branches,
 )
 from .games import (
+    born_weights,
     game_from_json_dict,
     parse_realization,
     realization_label,
     relabel_game,
-    validate_game,
 )
 from .branching import RotationConfig
-from .reporting import dumps_stable, emit, fmt_float
+from .reporting import emit, fmt_float
 from .strategies import parse_strategy, value_game
 from .verifier import (
     DEMO_SEED,
@@ -79,9 +84,14 @@ def _output(out: str | None) -> Iterator[Callable[[str], object]]:
     _echo(f"wrote {target}")
 
 
-def _write(data: bytes, out: str | None) -> None:
+def _report(report, fmt: str, out: str | None, summary: str | None = None, code: int = 0) -> NoReturn:
+    """Print a report in fmt to stdout or the --out file, then the summary line, and exit."""
+    data = emit(report, fmt)
     with _output(out) as write:
         write(data.decode())
+    if summary is not None:
+        _echo(summary)
+    raise SystemExit(code)
 
 
 def _load_json(path: str):
@@ -110,6 +120,16 @@ def _value(strategy, g, realization) -> float:
         return value_game(strategy, g, realization)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+
+
+def _regraining_demo(
+    fine_dim: int, epsilon: float, tau: float, seed: int, coarse_factor: int | None = None
+) -> StageReport:
+    """The demo game's regraining report: one rotation, then the optional coarse-grain."""
+    schedule: list = [RotationConfig(epsilon=epsilon, pair_schedule=None, seed=seed)]
+    if coarse_factor is not None:
+        schedule.append(coarse_factor)
+    return egalitarian_incoherence_demo(default_demo_game(), schedule=tuple(schedule), fine_dim=fine_dim, grain=tau)
 
 
 @click.group()
@@ -145,11 +165,6 @@ def game_eval(game_path, strategy_spec, realization_spec, relabel_check, fmt, ou
     except (KeyError, ValueError, TypeError) as exc:
         raise click.UsageError(f"bad game file or realization: {exc}")
     strategy = _strategy(strategy_spec)
-    problems = validate_game(g)
-    if problems:
-        raise click.UsageError("invalid game: " + "; ".join(problems))
-    from .games import born_weights
-
     value = _value(strategy, g, realization)
     report = {
         "strategy": strategy_spec,
@@ -169,8 +184,7 @@ def game_eval(game_path, strategy_spec, realization_spec, relabel_check, fmt, ou
         report["physicality_ok"] = gap <= 1e-12
         if gap > 1e-12:
             exit_code = 1
-    _write(emit(report, fmt), out)
-    raise SystemExit(exit_code)
+    _report(report, fmt, out, code=exit_code)
 
 
 # -- dw verify ------------------------------------------------------------------
@@ -235,15 +249,11 @@ def dw_verify(
                 for t in a1sq or GENERAL_TARGETS
             ])
         else:
-            config = RotationConfig(epsilon=epsilon, pair_schedule=None, seed=demo_seed)
-            report = egalitarian_incoherence_demo(
-                default_demo_game(), schedule=(config,), fine_dim=fine_dim, grain=tau
-            )
+            report = _regraining_demo(fine_dim, epsilon, tau, demo_seed)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    _write(emit(report, fmt), out)
-    _echo(f"stage {report.stage}: {report.verdict} (residual {fmt_float(report.residual)})")
-    raise SystemExit(0 if report.passed else 1)
+    summary = f"stage {report.stage}: {report.verdict} (residual {fmt_float(report.residual)})"
+    _report(report, fmt, out, summary, 0 if report.passed else 1)
 
 
 # -- egal demo ------------------------------------------------------------------
@@ -265,17 +275,10 @@ def egal() -> None:
 def egal_demo(fine_dim, epsilon, tau, seed, coarse_factor, fmt, out) -> None:
     """Rotate the fine-grained basis and watch count-based value drift."""
     try:
-        schedule: list = [RotationConfig(epsilon=epsilon, pair_schedule=None, seed=seed)]
-        if coarse_factor is not None:
-            schedule.append(coarse_factor)
-        report = egalitarian_incoherence_demo(
-            default_demo_game(), schedule=tuple(schedule), fine_dim=fine_dim, grain=tau
-        )
+        report = _regraining_demo(fine_dim, epsilon, tau, seed, coarse_factor)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    _write(emit(report, fmt), out)
-    _echo(f"egalitarian demo: {report.verdict}")
-    raise SystemExit(0 if report.passed else 1)
+    _report(report, fmt, out, f"egalitarian demo: {report.verdict}", 0 if report.passed else 1)
 
 
 # -- dutchbook ------------------------------------------------------------------
@@ -295,7 +298,7 @@ def _credences_for(pa: Fraction, pta: Fraction) -> CredenceState:
 @click.option("--pta", default="0.8", show_default=True, help="Conditional credence p(T|A).")
 @click.option("--q", default="0.6", show_default=True, help="Announced posterior.")
 @click.option("--stake", default="1", show_default=True)
-@click.option("--sweep", type=int, default=None, help="Check N random deviant cases instead.")
+@click.option("--sweep", type=click.IntRange(min=1), default=None, help="Check N random deviant cases instead.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "table"]), default="json")
 @click.option("--out", default=None)
@@ -319,9 +322,8 @@ def dutchbook(pa, pta, q, stake, sweep, seed, fmt, out) -> None:
             nets = evaluate_book_on_branches(book, tree, assignment)
             for net in nets.values():
                 worst = max(worst, abs(float(net) - float(book.guaranteed_net)))
-        report = {"cases": sweep, "max_deviation": worst, "ok": worst <= 1e-12}
-        _write(dumps_stable(report).encode(), out)
-        raise SystemExit(0 if worst <= 1e-12 else 1)
+        ok = worst <= 1e-12
+        _report({"cases": sweep, "max_deviation": worst, "ok": ok}, fmt, out, code=0 if ok else 1)
 
     try:
         pa_f, pta_f, q_f, stake_f = Fraction(pa), Fraction(pta), Fraction(q), Fraction(stake)
@@ -340,8 +342,7 @@ def dutchbook(pa, pta, q, stake, sweep, seed, fmt, out) -> None:
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if book is None:
-        _write(dumps_stable({"book": None, "reason": "announced posterior matches the conditional credence"}).encode(), out)
-        raise SystemExit(0)
+        _report({"book": None, "reason": "announced posterior matches the conditional credence"}, fmt, out)
     tree, assignment = case_tree(book.p_evidence, book.p_conditional)
     nets = evaluate_book_on_branches(book, tree, assignment)
     case_names = ["no-evidence", "evidence-and-theory", "evidence-not-theory"]
@@ -364,8 +365,7 @@ def dutchbook(pa, pta, q, stake, sweep, seed, fmt, out) -> None:
         ],
         "settlement": {name: float(nets[i]) for i, name in enumerate(case_names)},
     }
-    _write(dumps_stable(report).encode(), out)
-    raise SystemExit(0)
+    _report(report, fmt, out)
 
 
 # -- confirm run ------------------------------------------------------------------
@@ -439,7 +439,10 @@ def confirm_run(
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--max-states", type=int, default=4, show_default=True)
 @click.option("--max-consequences", type=int, default=4, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "table"]), default="json")
+@click.option(
+    "--format", "fmt", type=click.Choice(["json", "csv", "table"]), default=None,
+    help="Default: csv for --roundtrip-sweep, json for --prefs.",
+)
 @click.option("--out", default=None)
 def extract(prefs_path, roundtrip_sweep, seed, max_states, max_consequences, fmt, out) -> None:
     """Extract a probability and utility from a preference file."""
@@ -460,12 +463,11 @@ def extract(prefs_path, roundtrip_sweep, seed, max_states, max_consequences, fmt
             )
         except ValueError as exc:
             raise click.UsageError(str(exc))
-        ok = all(r["ok"] for r in results)
-        _write(emit(results, fmt if fmt != "json" else "csv"), out)
-        _echo(f"round trips: {sum(r['ok'] for r in results)}/{len(results)} reproduced")
-        raise SystemExit(0 if ok else 1)
+        summary = f"round trips: {sum(r['ok'] for r in results)}/{len(results)} reproduced"
+        _report(results, fmt or "csv", out, summary, 0 if all(r["ok"] for r in results) else 1)
     if prefs_path is None:
         raise click.UsageError("provide --prefs or --roundtrip-sweep")
+    fmt = fmt or "json"
     try:
         prefs = preferences_from_json_dict(_load_json(prefs_path))
     except (KeyError, TypeError, ValueError) as exc:
@@ -473,24 +475,13 @@ def extract(prefs_path, roundtrip_sweep, seed, max_states, max_consequences, fmt
     try:
         result = extract_representation(prefs)
     except AxiomError as exc:
-        _write(dumps_stable({"error": "axiom violation", "detail": str(exc)}).encode(), out)
-        raise SystemExit(1)
+        _report({"error": "axiom violation", "detail": str(exc)}, fmt, out, code=1)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if isinstance(result, Infeasible):
-        _write(
-            dumps_stable(
-                {
-                    "infeasible": True,
-                    "witness": [result.witness[0].mapping(), result.witness[1].mapping()],
-                    "detail": result.detail,
-                }
-            ).encode(),
-            out,
-        )
-        raise SystemExit(1)
-    _write(dumps_stable(representation_to_json_dict(result)).encode(), out)
-    raise SystemExit(0)
+        witness = [result.witness[0].mapping(), result.witness[1].mapping()]
+        _report({"infeasible": True, "witness": witness, "detail": result.detail}, fmt, out, code=1)
+    _report(representation_to_json_dict(result), fmt, out)
 
 
 if __name__ == "__main__":

@@ -184,10 +184,13 @@ def build_dutch_book(
     placement-time quotient, yet the three settle at -|p - q| r S in all of
     the cases (no evidence), (evidence, theory) and (evidence, no theory).
     Returns None when the announced posterior equals the conditional
-    credence: a conditionalizer cannot be booked this way.  An evidence
-    probability outside (0, 1) or an announced posterior outside [0, 1]
-    raises ValueError.
+    credence: a conditionalizer cannot be booked this way.  A negative
+    stake, an evidence probability outside (0, 1) or an announced posterior
+    outside [0, 1] raises ValueError: a negative stake would turn the sure
+    loss into a sure gain.
     """
+    if stake < 0:
+        raise ValueError(f"stake must not be negative, got {float(stake)!r}")
     if isinstance(policy, Conditionalize):
         return None
     p = posterior(cred, theory, evidence)

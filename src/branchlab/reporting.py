@@ -9,7 +9,9 @@ renderer: it takes the trajectory one iteration at a time and formats each
 row from the numbers the row carries, with one format string per row, so it
 can stream the text as it goes (emit's write).  Its CSV header goes through
 csv.writer, so a theory name with a comma or a quote is quoted there.  Other
-reports go cell by cell through rows_to_csv and rows_to_table.
+reports go cell by cell through rows_to_csv and rows_to_table, where a
+list cell joins its items with '|' and a mapping cell prints as compact JSON
+with the same 12-digit floats.
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ def _cell(value) -> str:
         return fmt_float(value)
     if isinstance(value, (list, tuple)):
         return "|".join(_cell(v) for v in value)
+    if isinstance(value, dict):
+        return json.dumps(_jsonable(value), separators=(",", ":"))
     return str(value)
 
 

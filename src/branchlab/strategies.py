@@ -176,37 +176,19 @@ def _price(care: CaringMeasure, utility: Callable[[float], Number]) -> Number:
     return _exact_dot([mass for _, mass in cared], utilities)
 
 
-def value_game(
-    strategy: Strategy,
-    game: QuantumGame,
-    realization: MeasurementRealization,
-    fine_dim: int = 1,
-    grain: float = 1e-9,
-) -> float:
+def value_game(strategy: Strategy, game: QuantumGame, realization: MeasurementRealization) -> float:
     """Cash value of a game to the strategy under a concrete realization."""
-    return float(_value_game_exact(strategy, game, realization, fine_dim, grain))
+    return float(_value_game_exact(strategy, game, realization))
 
 
-def _value_game_exact(
-    strategy: Strategy,
-    game: QuantumGame,
-    realization: MeasurementRealization,
-    fine_dim: int = 1,
-    grain: float = 1e-9,
-) -> Number:
+def _value_game_exact(strategy: Strategy, game: QuantumGame, realization: MeasurementRealization) -> Number:
     if isinstance(strategy, TablePreference):
         return strategy.rank_value(game_key(game, realization))
-    tree = branch(game, realization, fine_dim=fine_dim, grain=grain)
+    tree = branch(game, realization)
     return _price(caring_measure(strategy, tree), _exact_payoff(game.payoff))
 
 
-def mn_violation(
-    strategy: Strategy,
-    game: QuantumGame,
-    realizations: Sequence[MeasurementRealization],
-    fine_dim: int = 1,
-    grain: float = 1e-9,
-) -> float:
+def mn_violation(strategy: Strategy, game: QuantumGame, realizations: Sequence[MeasurementRealization]) -> float:
     """Largest value gap across realizations of the same game: max minus min.
 
     Zero (within tolerance) means the strategy is indifferent to how the
@@ -214,10 +196,7 @@ def mn_violation(
     """
     if len(realizations) < 2:
         return 0.0
-    values = [
-        _value_game_exact(strategy, game, r, fine_dim=fine_dim, grain=grain)
-        for r in realizations
-    ]
+    values = [_value_game_exact(strategy, game, r) for r in realizations]
     return float(max(values) - min(values))
 
 

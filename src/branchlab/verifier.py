@@ -420,7 +420,6 @@ def egalitarian_incoherence_demo(
     schedule: Sequence[ScheduleStep] | None = None,
     fine_dim: int = 8,
     grain: float = 1e-9,
-    egal_tau: float | None = None,
 ) -> StageReport:
     """Show count-based care moving while weight-based care stands still.
 
@@ -433,7 +432,7 @@ def egalitarian_incoherence_demo(
     """
     if schedule is None:
         schedule = (RotationConfig(epsilon=1e-3, pair_schedule=None, seed=DEMO_SEED),)
-    egal = Egalitarian(tau=egal_tau if egal_tau is not None else grain)
+    egal = Egalitarian(tau=grain)
     born = Born()
     tree = branch(game, Direct(), fine_dim=fine_dim, grain=grain)
     utility = _exact_payoff(game.payoff)
