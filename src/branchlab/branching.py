@@ -3,8 +3,10 @@
 A measurement turns a game into a tree of decohered branches.  Each leaf
 carries a weight plus a row of fine-grained cells that stand in for
 sub-branch structure, and a multiplicity: a leaf of multiplicity k is a run
-of k identical branches of that weight, so an N-level register split into
-two groups of equal sub-branches is two leaves rather than N.  Two knobs,
+of k identical branches of that weight.  An N-level register split into two
+groups of equal sub-branches is read off the register state's two
+(amplitude, count) runs, so it is two leaves rather than N, and building it
+never walks the N register levels.  Two knobs,
 small basis rotations and coarse-graining, redistribute weight among cells
 without ever changing any outcome's total weight.  They exist to make one
 point runnable: the number of branches above a weight threshold is not a
@@ -18,7 +20,8 @@ import random
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import Iterator
 
 from .exact import Number, _exact_dot, _exact_sum, _exact_sums
@@ -125,11 +128,12 @@ def branch(
     """Decohere a game into a branch tree under the given realization.
 
     Direct measurement yields one leaf per eigenvalue at its squared-amplitude
-    weight.  Ancilla coupling splits the game over an N-level register; each
-    run of register levels with the same grouped eigenvalue and amplitude
-    becomes one leaf whose multiplicity is the run length, so the usual
-    coupling yields two leaves standing for n and N - n equal sub-branches.
-    The game is validated once either way.
+    weight.  Ancilla coupling splits the game over an N-level register and
+    reads the joint state's runs: each run of register levels with the same
+    grouped eigenvalue and amplitude becomes one leaf whose multiplicity is
+    the run length, so the usual coupling yields two leaves standing for n
+    and N - n equal sub-branches, built in time independent of N.  The game
+    is validated once either way.
     """
     if fine_dim < 1:
         raise ValueError("fine_dim must be at least 1")
@@ -141,10 +145,13 @@ def branch(
         if problems:
             raise ValueError("invalid game: " + "; ".join(problems))
         joint, _, grouping = couple_ancilla(game, realization.n, realization.N)
-        runs = groupby(zip(map(grouping.__getitem__, joint.basis_labels), joint.amplitudes))
+        starts = accumulate([count for _, count in joint.runs], initial=0)
+        keyed = [
+            ((grouping[joint.basis_labels[start]], amp), count) for start, (amp, count) in zip(starts, joint.runs)
+        ]
         leaves = tuple(
-            _fresh_leaf(x, (), amp.abs2, fine_dim, multiplicity=len(list(run)))
-            for (x, amp), run in runs
+            _fresh_leaf(x, (), amp.abs2, fine_dim, multiplicity=sum(count for _, count in run))
+            for (x, amp), run in groupby(keyed, key=itemgetter(0))
         )
     else:
         raise ValueError(f"unsupported realization {realization!r} for this game shape")

@@ -40,7 +40,7 @@ from .games import (
 )
 from .branching import RotationConfig
 from .reporting import emit, fmt_float
-from .strategies import parse_strategy, value_game
+from .strategies import Egalitarian, parse_strategy, value_game
 from .verifier import (
     DEMO_SEED,
     StageReport,
@@ -55,6 +55,12 @@ from .verifier import (
 )
 
 GENERAL_TARGETS = (1 / math.sqrt(2), math.pi / 4, math.e / 3)
+
+# Stage 2 draws payoff-count x n random utilities for each n it checks.  The
+# caps keep one run, at the default 20 payoffs, to about 10 s on a 2-vCPU
+# host: --n 50000 took 8.8 s and --max-n 256 took 6.4 s.
+STAGE2_MAX_N = 50_000
+STAGE2_MAX_SWEEP_N = 256
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -197,10 +203,19 @@ def dw() -> None:
 
 @dw.command("verify")
 @click.option("--stage", required=True, type=click.Choice(["1", "2", "3", "general", "egal-demo"]))
-@click.option("--strategy", "strategy_spec", default="born", show_default=True)
+@click.option(
+    "--strategy", "strategy_spec", default=None, show_default="born",
+    help="The egal-demo stage measures egalitarian care and takes no other.",
+)
 @click.option("--m", "m_", type=int, default=None, help="Stage 3: weight numerator.")
-@click.option("--n", "n_", type=int, default=None, help="Stage 2 branch count / stage 3 denominator.")
-@click.option("--max-n", type=int, default=None, help="Sweep bound when --m/--n are omitted.")
+@click.option(
+    "--n", "n_", type=int, default=None,
+    help=f"Stage 2 branch count (at most {STAGE2_MAX_N}) / stage 3 denominator.",
+)
+@click.option(
+    "--max-n", type=int, default=None,
+    help=f"Sweep bound when --m/--n are omitted (stage 2: at most {STAGE2_MAX_SWEEP_N}).",
+)
 @click.option("--payoff-count", type=int, default=None)
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--u1", type=float, default=10.0, show_default=True)
@@ -219,7 +234,15 @@ def dw_verify(
     a1sq, tolerance, max_denominator, fine_dim, epsilon, tau, demo_seed, fmt, out,
 ) -> None:
     """Run one stage (or its full sweep) and report pass/fail."""
-    strategy = _strategy(strategy_spec)
+    strategy = _strategy(strategy_spec or "born")
+    if stage == "egal-demo" and strategy_spec is not None and not isinstance(strategy, Egalitarian):
+        raise click.UsageError(
+            f"--stage egal-demo measures egalitarian care against Born; --strategy {strategy_spec} is not egalitarian"
+        )
+    if stage == "2":
+        for name, value, cap in (("--n", n_, STAGE2_MAX_N), ("--max-n", max_n, STAGE2_MAX_SWEEP_N)):
+            if value is not None and value > cap:
+                raise click.UsageError(f"stage 2 takes {name} up to {cap}, got {value}")
     if stage == "3" and (m_ is None) != (n_ is None):
         raise click.UsageError("stage 3 takes --m and --n together, or neither for the sweep")
     for name, value in (("--u1", u1), ("--u2", u2)):
@@ -293,18 +316,29 @@ def _credences_for(pa: Fraction, pta: Fraction) -> CredenceState:
     )
 
 
+# The worked book's flags and their defaults; --sweep draws its own and reads none of them.
+_BOOK_FLAGS = {"--pa": "0.5", "--pta": "0.8", "--q": "0.6", "--stake": "1"}
+
+
 @main.command()
-@click.option("--pa", default="0.5", show_default=True, help="Prior probability of the evidence.")
-@click.option("--pta", default="0.8", show_default=True, help="Conditional credence p(T|A).")
-@click.option("--q", default="0.6", show_default=True, help="Announced posterior.")
-@click.option("--stake", default="1", show_default=True)
-@click.option("--sweep", type=click.IntRange(min=1), default=None, help="Check N random deviant cases instead.")
+@click.option("--pa", default=None, show_default=_BOOK_FLAGS["--pa"], help="Prior probability of the evidence.")
+@click.option("--pta", default=None, show_default=_BOOK_FLAGS["--pta"], help="Conditional credence p(T|A).")
+@click.option("--q", default=None, show_default=_BOOK_FLAGS["--q"], help="Announced posterior.")
+@click.option("--stake", default=None, show_default=_BOOK_FLAGS["--stake"])
+@click.option(
+    "--sweep", type=click.IntRange(min=1), default=None,
+    help="Check N random deviant cases instead; takes none of --pa, --pta, --q, --stake.",
+)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "table"]), default="json")
 @click.option("--out", default=None)
 def dutchbook(pa, pta, q, stake, sweep, seed, fmt, out) -> None:
     """Build the three-bet book against a deviant updater and settle it."""
+    given = dict(zip(_BOOK_FLAGS, (pa, pta, q, stake)))
     if sweep is not None:
+        unread = [name for name, text in given.items() if text is not None]
+        if unread:
+            raise click.UsageError(f"--sweep draws its own cases and does not read {', '.join(unread)}")
         import random
 
         rng = random.Random(seed)
@@ -325,6 +359,7 @@ def dutchbook(pa, pta, q, stake, sweep, seed, fmt, out) -> None:
         ok = worst <= 1e-12
         _report({"cases": sweep, "max_deviation": worst, "ok": ok}, fmt, out, code=0 if ok else 1)
 
+    pa, pta, q, stake = (_BOOK_FLAGS[name] if text is None else text for name, text in given.items())
     try:
         pa_f, pta_f, q_f, stake_f = Fraction(pa), Fraction(pta), Fraction(q), Fraction(stake)
     except (ValueError, ZeroDivisionError) as exc:
@@ -435,7 +470,7 @@ def confirm_run(
 
 @main.command()
 @click.option("--prefs", "prefs_path", type=click.Path(), default=None)
-@click.option("--roundtrip-sweep", type=int, default=None, help="Run N random round-trip checks instead.")
+@click.option("--roundtrip-sweep", type=int, default=None, help="Run N random round-trip checks instead of reading --prefs.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--max-states", type=int, default=4, show_default=True)
 @click.option("--max-consequences", type=int, default=4, show_default=True)
@@ -446,6 +481,8 @@ def confirm_run(
 @click.option("--out", default=None)
 def extract(prefs_path, roundtrip_sweep, seed, max_states, max_consequences, fmt, out) -> None:
     """Extract a probability and utility from a preference file."""
+    if roundtrip_sweep is not None and prefs_path is not None:
+        raise click.UsageError("--roundtrip-sweep draws its own preferences and does not read --prefs")
     # Imported here: decision loads numpy, which no other subcommand needs.
     from .decision import (
         AxiomError,

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from itertools import chain, repeat, starmap
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
-from .exact import Number, SqrtRational, _exact_sum, _exact_sums
+from .exact import Number, SqrtRational, _exact_dot, _exact_sums
 
 Real = Union[SqrtRational, float]
 
@@ -74,17 +76,121 @@ class Amplitude:
         return Amplitude(scale(self.re), scale(self.im))
 
 
+class _SequenceView(Sequence):
+    """A read-only sequence computed on demand, equal to the tuple of its items."""
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _SequenceView)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def _position(self, i) -> int:
+        k = operator.index(i)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return k
+
+
+class _RegisterLabels(_SequenceView):
+    """The labels y1..yN of an N-level register, each built when asked for."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(f"y{k + 1}" for k in range(*i.indices(self.size)))
+        return f"y{self._position(i) + 1}"
+
+    def __iter__(self) -> Iterator[str]:
+        return (f"y{k}" for k in range(1, self.size + 1))
+
+    def __contains__(self, label) -> bool:
+        return self.level(label) is not None
+
+    def level(self, label) -> int | None:
+        """i for the label yi of this register, None for anything else."""
+        if not (isinstance(label, str) and label.startswith("y")):
+            return None
+        digits = label[1:]
+        if not (digits.isascii() and digits.isdigit()) or digits[0] == "0" or len(digits) > len(str(self.size)):
+            return None
+        level = int(digits)
+        return level if level <= self.size else None
+
+
+class _AmplitudeRuns(_SequenceView):
+    """Amplitudes as runs: each (amplitude, count) stands for count equal slots."""
+
+    def __init__(self, runs: Sequence[tuple[Amplitude, int]]) -> None:
+        self.runs = tuple(runs)
+        self.size = sum(count for _, count in self.runs)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(self.size)))
+        k = self._position(i)
+        for amp, count in self.runs:
+            if k < count:
+                return amp
+            k -= count
+
+    def __iter__(self) -> Iterator[Amplitude]:
+        return chain.from_iterable(starmap(repeat, self.runs))
+
+
+class _RegisterMap(Mapping):
+    """A value for each label of a register, computed from the label's level."""
+
+    def __init__(self, labels: _RegisterLabels, value: Callable[[int], float]) -> None:
+        self.labels = labels
+        self.value = value
+
+    def __getitem__(self, label) -> float:
+        level = self.labels.level(label)
+        if level is None:
+            raise KeyError(label)
+        return self.value(level)
+
+    def __contains__(self, label) -> bool:
+        return label in self.labels
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.labels)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
 @dataclass(frozen=True)
 class PureState:
-    """A normalized superposition over distinct outcome labels."""
+    """A normalized superposition over distinct outcome labels.
 
-    basis_labels: tuple[str, ...]
-    amplitudes: tuple[Amplitude, ...]
+    Labels and amplitudes are tuples, or, for a register state built by
+    couple_ancilla, views that compute the same items from one run per
+    component.  Distinct labels are checked for a tuple and hold by
+    construction for a register view.
+    """
+
+    basis_labels: Sequence[str]
+    amplitudes: Sequence[Amplitude]
 
     def __post_init__(self) -> None:
         if len(self.basis_labels) != len(self.amplitudes):
             raise ValueError("one amplitude per basis label")
-        if len(set(self.basis_labels)) != len(self.basis_labels):
+        labels = self.basis_labels
+        if not isinstance(labels, _RegisterLabels) and len(set(labels)) != len(labels):
             raise ValueError("basis labels must be distinct")
         if not self.basis_labels:
             raise ValueError("state must have at least one component")
@@ -96,8 +202,17 @@ class PureState:
         return cls(tuple(labels), amps)
 
     @property
+    def runs(self) -> tuple[tuple[Amplitude, int], ...]:
+        """The amplitudes in label order as (amplitude, count) runs."""
+        if isinstance(self.amplitudes, _AmplitudeRuns):
+            return self.amplitudes.runs
+        return tuple((amp, 1) for amp in self.amplitudes)
+
+    @property
     def norm_squared(self) -> Union[Fraction, float]:
-        return _exact_sum([a.abs2 for a in self.amplitudes])
+        """Sum of count * |amplitude|^2 over the runs, exact for exact amplitudes."""
+        runs = self.runs
+        return _exact_dot([amp.abs2 for amp, _ in runs], [count for _, count in runs])
 
 
 @dataclass(frozen=True)
@@ -172,22 +287,28 @@ def validate_game(game: QuantumGame) -> list[str]:
     """Report violated invariants; an empty list means the game is valid.
 
     Checks state normalization (within 1e-12) and payoff totality on the
-    eigenvalues present in the state's support.
+    eigenvalues present in the state's support.  The norm is taken over the
+    state's runs, count * |amplitude|^2 each, so a register state costs one
+    term per component.
     """
     report: list[str] = []
-    weights = [a.abs2 for a in game.state.amplitudes]
-    norm = float(_exact_sum(weights))
+    runs = game.state.runs
+    weights = [amp.abs2 for amp, _ in runs]
+    norm = float(_exact_dot(weights, [count for _, count in runs]))
     if abs(norm - 1.0) > 1e-12:
         report.append(f"state not normalized: sum of squared amplitudes is {norm!r}")
+    labels = game.state.basis_labels
     eigenvalues = game.observable.eigenvalues
-    missing_eigen = [label for label in game.state.basis_labels if label not in eigenvalues]
+    missing_eigen = [label for label in labels if label not in eigenvalues]
     if missing_eigen:
         report.append(f"observable lacks eigenvalues for labels {missing_eigen}")
-    for label, w in zip(game.state.basis_labels, weights):
-        if label in eigenvalues:
-            x = eigenvalues[label]
-            if float(w) > 0.0 and x not in game.payoff.consequences:
-                report.append(f"payoff missing eigenvalue {x!r} present in state support")
+    start = 0
+    for (_, count), w in zip(runs, weights):
+        if float(w) > 0.0:
+            for label in labels[start:start + count]:
+                if label in eigenvalues and eigenvalues[label] not in game.payoff.consequences:
+                    report.append(f"payoff missing eigenvalue {eigenvalues[label]!r} present in state support")
+        start += count
     return report
 
 
@@ -205,14 +326,18 @@ def born_weights(game: QuantumGame) -> dict[float, Union[Fraction, float]]:
 
 def couple_ancilla(
     game: QuantumGame, n: int, N: int
-) -> tuple[PureState, Observable, dict[str, float]]:
+) -> tuple[PureState, Observable, Mapping[str, float]]:
     """Entangle a two-component state with an N-level register.
 
     Returns the joint state over labels y1..yN with amplitude a1/sqrt(n) on
     the first n labels and a2/sqrt(N-n) on the rest, the register observable
     (eigenvalue i on yi), and the grouping that maps each y label back to the
-    eigenvalue of the original observable it realizes.  Each group shares one
-    amplitude object, so a run of equal sub-branches is one object repeated.
+    eigenvalue of the original observable it realizes.  Nothing here is of
+    size N: the labels are a sequence view that builds yi when asked, the
+    joint state holds one (amplitude, count) run per component, and the
+    register eigenvalues and the grouping are mapping views that read i off
+    the label.  Each view still equals the full container it stands for (a
+    tuple, or a dict), item for item.
     """
     if len(game.state.basis_labels) != 2:
         raise ValueError(
@@ -224,14 +349,13 @@ def couple_ancilla(
     x1 = game.observable.eigenvalue(game.state.basis_labels[0])
     x2 = game.observable.eigenvalue(game.state.basis_labels[1])
 
-    labels = tuple(f"y{i}" for i in range(1, N + 1))
-    amps = (a1.div_sqrt(n),) * n + (a2.div_sqrt(N - n),) * (N - n)
-    joint = PureState(labels, amps)
+    labels = _RegisterLabels(N)
+    joint = PureState(labels, _AmplitudeRuns(((a1.div_sqrt(n), n), (a2.div_sqrt(N - n), N - n))))
     register = Observable(
         name=f"{game.observable.name}_via_{N}_level_register",
-        eigenvalues={label: float(i) for i, label in enumerate(labels, start=1)},
+        eigenvalues=_RegisterMap(labels, float),
     )
-    grouping = {label: (x1 if i <= n else x2) for i, label in enumerate(labels, start=1)}
+    grouping = _RegisterMap(labels, lambda level: x1 if level <= n else x2)
     return joint, register, grouping
 
 
