@@ -8,7 +8,10 @@ extract's round-trip sweep), to stdout or to the --out file, then its
 summary line if it has one.  confirm run streams its trajectory as it is
 computed; every other report is rendered whole and written by _report.
 Exit codes: 0 on success or a passing check, 1 on a failed check, 2 on
-usage or validation errors.
+usage or validation errors.  Bad input has one exit: each file kind's loader
+raises ValueError for a malformed document, and _Command.invoke turns any
+ValueError into exit 2 with one Error: line.  extract's AxiomError is a
+verdict (exit 1); any other exception is a bug and stays a traceback.
 """
 
 from __future__ import annotations
@@ -17,11 +20,13 @@ import contextlib
 import json
 import math
 import os
+import random
 import sys
 from fractions import Fraction
-from typing import Callable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn
 
 import click
+from click.core import ParameterSource
 
 from .confirmation import (
     CredenceState,
@@ -29,11 +34,14 @@ from .confirmation import (
     build_dutch_book,
     case_tree,
     confirmation_experiment,
+    credences_from_json_dict,
     evaluate_book_on_branches,
 )
+from .exact import exact_number
 from .games import (
     born_weights,
     game_from_json_dict,
+    games_from_json_list,
     parse_realization,
     realization_label,
     relabel_game,
@@ -56,11 +64,20 @@ from .verifier import (
 
 GENERAL_TARGETS = (1 / math.sqrt(2), math.pi / 4, math.e / 3)
 
-# Stage 2 draws payoff-count x n random utilities for each n it checks.  The
-# caps keep one run, at the default 20 payoffs, to about 10 s on a 2-vCPU
-# host: --n 50000 took 8.8 s and --max-n 256 took 6.4 s.
+# Stages 1 and 2 draw --payoff-count random utilities per branch for each n.  On a 2-vCPU host
+# the caps took 6.6 s (stage 1) and, at 20 payoffs, 8.8 s (stage 2 --n) and 6.4 s (--max-n).
+STAGE1_MAX_PAYOFF_COUNT = 200_000
 STAGE2_MAX_N = 50_000
 STAGE2_MAX_SWEEP_N = 256
+
+# The flags each dw verify stage reads beside --stage, --strategy, --format and --out.
+_STAGE_READS = {
+    "1": {"seed", "payoff_count"},
+    "2": {"seed", "payoff_count", "n_", "max_n"},
+    "3": {"m_", "n_", "max_n", "u1", "u2"},
+    "general": {"u1", "u2", "a1sq", "tolerance", "max_denominator"},
+    "egal-demo": {"fine_dim", "epsilon", "tau", "demo_seed"},
+}
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -101,31 +118,23 @@ def _report(report, fmt: str, out: str | None, summary: str | None = None, code:
 
 
 def _load_json(path: str):
+    """The JSON document at path, read as UTF-8 whatever the locale (RFC 8259)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"cannot read {path}: {exc}")
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
-def _object(doc, what: str) -> dict:
-    if not isinstance(doc, dict):
-        raise TypeError(f"{what} must be an object, got {type(doc).__name__}")
-    return doc
-
-
-def _strategy(spec: str):
-    try:
-        return parse_strategy(spec)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
-def _value(strategy, g, realization) -> float:
-    try:
-        return value_game(strategy, g, realization)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+def _refuse_unread(mode: str, unread: Iterable[str]) -> None:
+    """Refuse each of the unread parameters that the command line gives: mode never reads them."""
+    ctx = click.get_current_context()
+    given = [
+        param.opts[0] for param in ctx.command.params
+        if param.name in unread and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE
+    ]
+    if given:
+        raise click.UsageError(f"{mode} does not read {', '.join(given)}")
 
 
 def _regraining_demo(
@@ -138,7 +147,22 @@ def _regraining_demo(
     return egalitarian_incoherence_demo(default_demo_game(), schedule=tuple(schedule), fine_dim=fine_dim, grain=tau)
 
 
-@click.group()
+class _Command(click.Command):
+    """A command whose ValueError is a usage error: exit 2 and one Error: line."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+class _Group(click.Group):
+    command_class = _Command
+    group_class = type  # subgroups are _Groups too
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Branching-measurement decision lab."""
 
@@ -164,14 +188,10 @@ def game() -> None:
 @click.option("--out", default=None)
 def game_eval(game_path, strategy_spec, realization_spec, relabel_check, fmt, out) -> None:
     """Value a game under a strategy and realization."""
-    doc = _load_json(game_path)
-    try:
-        g = game_from_json_dict(doc)
-        realization = parse_realization(realization_spec)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise click.UsageError(f"bad game file or realization: {exc}")
-    strategy = _strategy(strategy_spec)
-    value = _value(strategy, g, realization)
+    g = game_from_json_dict(_load_json(game_path))
+    realization = parse_realization(realization_spec)
+    strategy = parse_strategy(strategy_spec)
+    value = value_game(strategy, g, realization)
     report = {
         "strategy": strategy_spec,
         "realization": realization_label(realization),
@@ -183,7 +203,7 @@ def game_eval(game_path, strategy_spec, realization_spec, relabel_check, fmt, ou
         label_map = {l: f"{l}_renamed" for l in g.state.basis_labels}
         eigenvalue_map = {x: 2.0 * x + 3.0 for x in g.observable.eigenvalues.values()}
         twin = relabel_game(g, label_map, eigenvalue_map)
-        twin_value = _value(strategy, twin, realization)
+        twin_value = value_game(strategy, twin, realization)
         gap = abs(value - twin_value)
         report["relabeled_value"] = twin_value
         report["relabel_gap"] = gap
@@ -210,13 +230,13 @@ def dw() -> None:
 @click.option("--m", "m_", type=int, default=None, help="Stage 3: weight numerator.")
 @click.option(
     "--n", "n_", type=int, default=None,
-    help=f"Stage 2 branch count (at most {STAGE2_MAX_N}) / stage 3 denominator.",
+    help=f"Stage 2 branch count (at most {STAGE2_MAX_N} at 20 payoffs) / stage 3 denominator.",
 )
 @click.option(
     "--max-n", type=int, default=None,
-    help=f"Sweep bound when --m/--n are omitted (stage 2: at most {STAGE2_MAX_SWEEP_N}).",
+    help=f"Sweep bound when --m/--n are omitted (stage 2: at most {STAGE2_MAX_SWEEP_N} at 20 payoffs).",
 )
-@click.option("--payoff-count", type=int, default=None)
+@click.option("--payoff-count", type=int, default=None, help="Random payoffs per branch: 100 at stage 1, 20 at stage 2.")
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--u1", type=float, default=10.0, show_default=True)
 @click.option("--u2", type=float, default=0.0, show_default=True)
@@ -234,47 +254,47 @@ def dw_verify(
     a1sq, tolerance, max_denominator, fine_dim, epsilon, tau, demo_seed, fmt, out,
 ) -> None:
     """Run one stage (or its full sweep) and report pass/fail."""
-    strategy = _strategy(strategy_spec or "born")
+    _refuse_unread(f"--stage {stage}", set().union(*_STAGE_READS.values()) - _STAGE_READS[stage])
+    strategy = parse_strategy(strategy_spec or "born")
     if stage == "egal-demo" and strategy_spec is not None and not isinstance(strategy, Egalitarian):
         raise click.UsageError(
             f"--stage egal-demo measures egalitarian care against Born; --strategy {strategy_spec} is not egalitarian"
         )
-    if stage == "2":
-        for name, value, cap in (("--n", n_, STAGE2_MAX_N), ("--max-n", max_n, STAGE2_MAX_SWEEP_N)):
-            if value is not None and value > cap:
-                raise click.UsageError(f"stage 2 takes {name} up to {cap}, got {value}")
     if stage == "3" and (m_ is None) != (n_ is None):
         raise click.UsageError("stage 3 takes --m and --n together, or neither for the sweep")
     for name, value in (("--u1", u1), ("--u2", u2)):
         if not math.isfinite(value):
             raise click.UsageError(f"{name} must be finite, got {value!r}")
     payoffs = ((Fraction(u1), Fraction(u2)),)
-    try:
-        if stage == "1":
-            count = 100 if payoff_count is None else payoff_count
-            report = verify_stage1(strategy, payoff_count=count, seed=seed)
-        elif stage == "2":
-            count = 20 if payoff_count is None else payoff_count
-            if n_ is not None:
-                report = verify_stage2(strategy, n_, payoff_count=count, seed=seed)
-            else:
-                report = verify_stage2_sweep(strategy, max_n=64 if max_n is None else max_n, payoff_count=count, seed=seed)
-        elif stage == "3":
-            if m_ is not None:
-                report = verify_stage3(strategy, m_, n_, payoffs=payoffs)
-            else:
-                report = verify_stage3_sweep(strategy, max_n=32 if max_n is None else max_n, payoffs=payoffs)
-        elif stage == "general":
-            report = StageReport.merge([
-                verify_stage_general(
-                    strategy, t, tolerance, payoff=payoffs[0], max_denominator=max_denominator,
-                )
-                for t in a1sq or GENERAL_TARGETS
-            ])
+    count = (100 if stage == "1" else 20) if payoff_count is None else payoff_count
+    max_n = (64 if stage == "2" else 32) if max_n is None else max_n
+    if stage == "1":
+        if count > STAGE1_MAX_PAYOFF_COUNT:
+            raise click.UsageError(f"stage 1 takes --payoff-count up to {STAGE1_MAX_PAYOFF_COUNT}, got {count}")
+        report = verify_stage1(strategy, payoff_count=count, seed=seed)
+    elif stage == "2":
+        name, size, cap = ("--n", n_, STAGE2_MAX_N) if n_ is not None else ("--max-n", max_n, STAGE2_MAX_SWEEP_N)
+        limit = cap * 20 // max(count, 20)  # fewer payoffs than 20 do not raise the cap
+        if size > limit:
+            raise click.UsageError(f"stage 2 takes {name} up to {limit} at --payoff-count {count}, got {size}")
+        if n_ is not None:
+            report = verify_stage2(strategy, n_, payoff_count=count, seed=seed)
         else:
-            report = _regraining_demo(fine_dim, epsilon, tau, demo_seed)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+            report = verify_stage2_sweep(strategy, max_n=size, payoff_count=count, seed=seed)
+    elif stage == "3":
+        if m_ is not None:
+            report = verify_stage3(strategy, m_, n_, payoffs=payoffs)
+        else:
+            report = verify_stage3_sweep(strategy, max_n=max_n, payoffs=payoffs)
+    elif stage == "general":
+        report = StageReport.merge([
+            verify_stage_general(
+                strategy, t, tolerance, payoff=payoffs[0], max_denominator=max_denominator,
+            )
+            for t in a1sq or GENERAL_TARGETS
+        ])
+    else:
+        report = _regraining_demo(fine_dim, epsilon, tau, demo_seed)
     summary = f"stage {report.stage}: {report.verdict} (residual {fmt_float(report.residual)})"
     _report(report, fmt, out, summary, 0 if report.passed else 1)
 
@@ -297,10 +317,7 @@ def egal() -> None:
 @click.option("--out", default=None)
 def egal_demo(fine_dim, epsilon, tau, seed, coarse_factor, fmt, out) -> None:
     """Rotate the fine-grained basis and watch count-based value drift."""
-    try:
-        report = _regraining_demo(fine_dim, epsilon, tau, seed, coarse_factor)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    report = _regraining_demo(fine_dim, epsilon, tau, seed, coarse_factor)
     _report(report, fmt, out, f"egalitarian demo: {report.verdict}", 0 if report.passed else 1)
 
 
@@ -316,31 +333,22 @@ def _credences_for(pa: Fraction, pta: Fraction) -> CredenceState:
     )
 
 
-# The worked book's flags and their defaults; --sweep draws its own and reads none of them.
-_BOOK_FLAGS = {"--pa": "0.5", "--pta": "0.8", "--q": "0.6", "--stake": "1"}
-
-
 @main.command()
-@click.option("--pa", default=None, show_default=_BOOK_FLAGS["--pa"], help="Prior probability of the evidence.")
-@click.option("--pta", default=None, show_default=_BOOK_FLAGS["--pta"], help="Conditional credence p(T|A).")
-@click.option("--q", default=None, show_default=_BOOK_FLAGS["--q"], help="Announced posterior.")
-@click.option("--stake", default=None, show_default=_BOOK_FLAGS["--stake"])
+@click.option("--pa", default="0.5", show_default=True, help="Prior probability of the evidence.")
+@click.option("--pta", default="0.8", show_default=True, help="Conditional credence p(T|A).")
+@click.option("--q", default="0.6", show_default=True, help="Announced posterior.")
+@click.option("--stake", default="1", show_default=True)
 @click.option(
     "--sweep", type=click.IntRange(min=1), default=None,
     help="Check N random deviant cases instead; takes none of --pa, --pta, --q, --stake.",
 )
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True, help="--sweep only.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "table"]), default="json")
 @click.option("--out", default=None)
 def dutchbook(pa, pta, q, stake, sweep, seed, fmt, out) -> None:
     """Build the three-bet book against a deviant updater and settle it."""
-    given = dict(zip(_BOOK_FLAGS, (pa, pta, q, stake)))
     if sweep is not None:
-        unread = [name for name, text in given.items() if text is not None]
-        if unread:
-            raise click.UsageError(f"--sweep draws its own cases and does not read {', '.join(unread)}")
-        import random
-
+        _refuse_unread("--sweep", ("pa", "pta", "q", "stake"))
         rng = random.Random(seed)
         worst = 0.0
         for _ in range(sweep):
@@ -359,23 +367,11 @@ def dutchbook(pa, pta, q, stake, sweep, seed, fmt, out) -> None:
         ok = worst <= 1e-12
         _report({"cases": sweep, "max_deviation": worst, "ok": ok}, fmt, out, code=0 if ok else 1)
 
-    pa, pta, q, stake = (_BOOK_FLAGS[name] if text is None else text for name, text in given.items())
-    try:
-        pa_f, pta_f, q_f, stake_f = Fraction(pa), Fraction(pta), Fraction(q), Fraction(stake)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"bad quotient: {exc}")
-    # The report prints every number as a float, and the checks compare floats.
-    flags = (("--pa", pa, pa_f), ("--pta", pta, pta_f), ("--q", q, q_f), ("--stake", stake, stake_f))
-    for name, text, value in flags:
-        try:
-            float(value)
-        except OverflowError:
-            raise click.UsageError(f"{name} {text} is too large for a float")
-    try:
-        cred = _credences_for(pa_f, pta_f)
-        book = build_dutch_book(cred, Deviant({("T", "A"): q_f}), "A", "T", stake=stake_f)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    _refuse_unread("dutchbook without --sweep", ("seed",))
+    pa, pta, q, stake = (
+        exact_number(text, name) for text, name in ((pa, "--pa"), (pta, "--pta"), (q, "--q"), (stake, "--stake"))
+    )
+    book = build_dutch_book(_credences_for(pa, pta), Deviant({("T", "A"): q}), "A", "T", stake=stake)
     if book is None:
         _report({"book": None, "reason": "announced posterior matches the conditional credence"}, fmt, out)
     tree, assignment = case_tree(book.p_evidence, book.p_conditional)
@@ -426,36 +422,16 @@ def confirm_run(
     true_theory, require_mass, fmt, out,
 ) -> None:
     """Iterate games, conditionalize on every branch, report caring-weighted credences."""
-    theories_doc = _load_json(theories_path)
-    games_doc = _load_json(games_path)
-    try:
-        cred = CredenceState(
-            priors={t: Fraction(str(p)) for t, p in _object(theories_doc["priors"], "priors").items()},
-            likelihoods={
-                t: {float(k): Fraction(str(v)) for k, v in _object(table, f"likelihoods of {t!r}").items()}
-                for t, table in _object(theories_doc["likelihoods"], "likelihoods").items()
-            },
-        )
-        games = [
-            (
-                game_from_json_dict(entry["game"]),
-                parse_realization(entry.get("realization", "direct")),
-            )
-            for entry in games_doc
-        ]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise click.UsageError(f"bad theories/games file: {exc}")
-    strategy = _strategy(strategy_spec)
+    cred = credences_from_json_dict(_load_json(theories_path))
+    games = games_from_json_list(_load_json(games_path))
+    strategy = parse_strategy(strategy_spec)
     target = true_theory or cred.theories()[0]
     if target not in cred.priors:
         raise click.UsageError(f"--true-theory {target!r} is not one of {', '.join(cred.theories())}")
     for name, value in (("--threshold", threshold), ("--require-mass", require_mass)):
         if value is not None and not math.isfinite(value):
             raise click.UsageError(f"{name} must be finite, got {value!r}")
-    try:
-        report = confirmation_experiment(cred, games, strategy, trials=depth)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    report = confirmation_experiment(cred, games, strategy, trials=depth)
     with _output(out) as write:
         emit(report, fmt, write)
     mass = float(report.final_mass_above(target, threshold))
@@ -471,9 +447,9 @@ def confirm_run(
 @main.command()
 @click.option("--prefs", "prefs_path", type=click.Path(), default=None)
 @click.option("--roundtrip-sweep", type=int, default=None, help="Run N random round-trip checks instead of reading --prefs.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-states", type=int, default=4, show_default=True)
-@click.option("--max-consequences", type=int, default=4, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True, help="--roundtrip-sweep only.")
+@click.option("--max-states", type=int, default=4, show_default=True, help="--roundtrip-sweep only.")
+@click.option("--max-consequences", type=int, default=4, show_default=True, help="--roundtrip-sweep only.")
 @click.option(
     "--format", "fmt", type=click.Choice(["json", "csv", "table"]), default=None,
     help="Default: csv for --roundtrip-sweep, json for --prefs.",
@@ -481,8 +457,6 @@ def confirm_run(
 @click.option("--out", default=None)
 def extract(prefs_path, roundtrip_sweep, seed, max_states, max_consequences, fmt, out) -> None:
     """Extract a probability and utility from a preference file."""
-    if roundtrip_sweep is not None and prefs_path is not None:
-        raise click.UsageError("--roundtrip-sweep draws its own preferences and does not read --prefs")
     # Imported here: decision loads numpy, which no other subcommand needs.
     from .decision import (
         AxiomError,
@@ -494,27 +468,21 @@ def extract(prefs_path, roundtrip_sweep, seed, max_states, max_consequences, fmt
     )
 
     if roundtrip_sweep is not None:
-        try:
-            results = representation_roundtrip_sweep(
-                roundtrip_sweep, seed=seed, max_states=max_states, max_consequences=max_consequences
-            )
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        _refuse_unread("--roundtrip-sweep", ("prefs_path",))
+        results = representation_roundtrip_sweep(
+            roundtrip_sweep, seed=seed, max_states=max_states, max_consequences=max_consequences
+        )
         summary = f"round trips: {sum(r['ok'] for r in results)}/{len(results)} reproduced"
         _report(results, fmt or "csv", out, summary, 0 if all(r["ok"] for r in results) else 1)
     if prefs_path is None:
         raise click.UsageError("provide --prefs or --roundtrip-sweep")
+    _refuse_unread("--prefs", ("seed", "max_states", "max_consequences"))
     fmt = fmt or "json"
-    try:
-        prefs = preferences_from_json_dict(_load_json(prefs_path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise click.UsageError(f"bad preference file: {exc}")
+    prefs = preferences_from_json_dict(_load_json(prefs_path))
     try:
         result = extract_representation(prefs)
     except AxiomError as exc:
         _report({"error": "axiom violation", "detail": str(exc)}, fmt, out, code=1)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     if isinstance(result, Infeasible):
         witness = [result.witness[0].mapping(), result.witness[1].mapping()]
         _report({"infeasible": True, "witness": witness, "detail": result.detail}, fmt, out, code=1)

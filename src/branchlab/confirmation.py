@@ -18,7 +18,7 @@ from operator import mul
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .branching import BranchLeaf, BranchTree, branch
-from .exact import Number, _exact_dot, _exact_sum, _integers
+from .exact import Number, _exact_dot, _exact_sum, _integers, exact_number, malformed
 from .games import Direct, MeasurementRealization, QuantumGame
 from .strategies import Strategy, TablePreference, caring_measure
 
@@ -53,6 +53,18 @@ class CredenceState:
 
     def theories(self) -> tuple[str, ...]:
         return tuple(self.priors)
+
+
+@malformed("theories JSON")
+def credences_from_json_dict(doc) -> CredenceState:
+    """The exact credences a theories JSON document states; a malformed one raises ValueError."""
+    return CredenceState(
+        priors={t: exact_number(p, f"priors[{t!r}]") for t, p in doc["priors"].items()},
+        likelihoods={
+            t: {float(k): exact_number(v, f"likelihoods[{t!r}][{k!r}]") for k, v in table.items()}
+            for t, table in doc["likelihoods"].items()
+        },
+    )
 
 
 def evidence_probability(cred: CredenceState, evidence: Evidence) -> Number:

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .exact import Number
+from .exact import Number, malformed
 
 
 TIE_TOL = 1e-9
@@ -769,19 +769,17 @@ def preferences_to_json_dict(prefs: PreferenceRelation) -> dict:
     }
 
 
+@malformed("preference JSON")
 def preferences_from_json_dict(doc) -> PreferenceRelation:
     """Accepts either {"setup": ..., "tiers": ...} or a bare tier list.
 
     Each tier must be a list of acts, each act an object mapping states to
-    consequences; acts may name only the listed consequences.
+    consequences; acts may name only the listed consequences.  A malformed
+    document raises ValueError.
     """
     tiers_raw = doc if isinstance(doc, list) else doc["tiers"]
-    if not isinstance(doc, list) and not isinstance(doc["setup"], dict):
-        raise ValueError("setup must be an object of kind, states and consequences")
     if not isinstance(tiers_raw, list):
         raise ValueError("tiers must be a list of tiers, best first")
-    if not all(isinstance(t, list) and all(isinstance(a, dict) for a in t) for t in tiers_raw):
-        raise ValueError("each tier must be a list of acts, each an object of state: consequence")
     if isinstance(doc, list):
         states = sorted({s for tier in doc for act in tier for s in act})
         consequences = sorted({c for tier in doc for act in tier for c in act.values()})

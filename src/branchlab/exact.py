@@ -7,18 +7,20 @@ are taken by _exact_sum and _exact_dot on one common denominator: one lcm of
 the denominators, one integer sum and one Fraction, where a left fold of
 Fraction additions would reduce by a gcd at every step.  Each returns the
 value, type and float bits of that fold from Fraction(0), float terms
-included.
+included.  Below every module that reads input sit the input boundary's
+helpers: exact_number, the one coercion to exact numbers, and malformed.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import starmap
 from operator import add, mul
-from typing import Hashable, Iterable, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Sequence, Union
 
 Radicand = Union[int, Fraction]
 Number = Union[int, float, Fraction]
@@ -150,3 +152,34 @@ def _exact_dot(xs: Iterable[Number], ys: Iterable[Number]) -> Number:
         scale = math.lcm(*dens)
         total = Fraction(sum([x.numerator * y.numerator * (scale // d) for (x, y), d in zip(head, dens)]), scale)
     return reduce(add, starmap(mul, pairs[k:]), total)
+
+
+# -- input boundary --------------------------------------------------------------
+
+
+def exact_number(raw, name: str) -> Fraction:
+    """raw, a number or its decimal or fraction text, as a Fraction; ValueError naming name if
+    it is no number or too large for a float (reports print floats)."""
+    text = str(raw).strip()
+    exponent = text.lower().partition("e")[2]
+    try:
+        # Fraction(text) builds 10**exponent, which no float needs beyond a few hundred.
+        if exponent.lstrip("+-").isdigit() and abs(int(exponent)) > 10_000:
+            raise ValueError(f"exponent {exponent} is out of range")
+        value = Fraction(text)
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} {raw} is too large for a float") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{name} {raw} is not a number: {exc}") from None
+    return value
+
+
+@contextmanager
+def malformed(what: str) -> Iterator[None]:
+    """As a loader's decorator: any error a malformed what document raises while the
+    loader indexes and converts it, raised as a ValueError that names what."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"bad {what}: {exc}") from exc

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain, repeat, starmap
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
-from .exact import Number, SqrtRational, _exact_dot, _exact_sums
+from .exact import Number, SqrtRational, _exact_dot, _exact_sums, malformed
 
 Real = Union[SqrtRational, float]
 
@@ -433,10 +433,10 @@ def game_to_json_dict(game: QuantumGame) -> dict:
     }
 
 
+@malformed("game JSON")
 def game_from_json_dict(doc: Mapping) -> QuantumGame:
+    """The game a game JSON document states; a malformed document raises ValueError."""
     eigenvalues, payoff = doc["observable"]["eigenvalues"], doc["payoff"]
-    if not (isinstance(eigenvalues, Mapping) and isinstance(payoff, Mapping)):
-        raise ValueError("observable eigenvalues and payoff must be objects")
     labels = tuple(entry["label"] for entry in doc["state"])
     amps = tuple(Amplitude(float(e["re"]), float(e["im"])) for e in doc["state"])
     state = PureState(labels, amps)
@@ -479,6 +479,15 @@ def parse_realization(text: str) -> MeasurementRealization:
         except (ValueError, TypeError) as exc:
             raise ValueError(f"bad ancilla spec {text!r}: expected ancilla:n,N") from exc
     raise ValueError(f"unknown realization {text!r}; expected 'direct' or 'ancilla:n,N'")
+
+
+@malformed("games list JSON")
+def games_from_json_list(doc) -> list[tuple[QuantumGame, MeasurementRealization]]:
+    """The (game, realization) pairs of a games-list JSON document; a malformed one raises ValueError."""
+    return [
+        (game_from_json_dict(entry["game"]), parse_realization(entry.get("realization", "direct")))
+        for entry in doc
+    ]
 
 
 def realization_label(realization: MeasurementRealization) -> str:
